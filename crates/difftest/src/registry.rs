@@ -10,7 +10,8 @@
 //! * `registry/sim` — [`cicero_isa::run_all`] over the reloaded program
 //!   must report exactly the set members the per-pattern oracles match;
 //! * `registry/host` — the host-native lowering of the reloaded program
-//!   must report the same id set.
+//!   must report the same id set, and its first-acceptance run must
+//!   agree with the oracle's verdict whole and in 7-byte chunks.
 //!
 //! Anything lost or corrupted in encode → persist → verify → decode
 //! shows up as a divergence here even though the in-memory matrix is
@@ -112,6 +113,18 @@ pub fn check_registry_case(
                 detail: format!(
                     "reloaded program matched ids {:?} on {input:?}, oracle says {expected:?}",
                     interp.matched_ids
+                ),
+            });
+        }
+        let first = host.run(input);
+        if first.accepted == expected.is_empty()
+            || cicero_hostexec::run_chunked(&host, input.chunks(7)) != first
+        {
+            return Outcome::Diverged(Divergence {
+                cell: format!("registry/host-run/{}", host.engine_kind()),
+                detail: format!(
+                    "host first-acceptance run {first:?} on {input:?} (oracle ids {expected:?}) \
+                     or its 7-byte-chunk stream disagrees"
                 ),
             });
         }

@@ -1,10 +1,12 @@
 //! Lazy-DFA fallback for automata too large for one machine word.
 //!
-//! Above 128 states the bit-parallel step would need multi-word masks;
-//! instead the engine runs a classic lazy subset construction over the
-//! same epsilon-free NFA: DFA states are sorted NFA state sets, memoized
-//! on demand, with per-byte-class transitions filled in the first time a
-//! class is seen from a state. Acceptance (a class bitset + an EOI flag)
+//! Above 128 states the bit-parallel step would need multi-word masks.
+//! A multi-identifier set splits into a bank of one-word bins instead
+//! (see `bank`), so this tier serves what cannot be split: a single
+//! pattern, or a set member, over 128 states. The engine runs a classic
+//! lazy subset construction over the same epsilon-free NFA: DFA states
+//! are sorted NFA state sets, memoized on demand, with per-byte-class
+//! transitions filled in the first time a class is seen from a state. Acceptance (a class bitset + an EOI flag)
 //! is computed once per DFA state; identifier resolution walks the sparse
 //! per-arm entries only when an acceptance actually fires.
 //!

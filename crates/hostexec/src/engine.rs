@@ -41,23 +41,23 @@ pub(crate) struct Classes {
 pub(crate) fn byte_classes<I: Iterator<Item = ByteSet>>(sets: I) -> Classes {
     let mut of = [0u8; 256];
     let mut count = 1usize;
+    let mut applied = std::collections::HashSet::new();
     for set in sets {
-        if set.is_empty() || set.is_full() {
-            continue; // distinguishes nothing
+        if set.is_empty() || set.is_full() || !applied.insert(set) {
+            continue; // distinguishes nothing new
         }
-        let mut map: std::collections::HashMap<(u8, bool), u16> = std::collections::HashMap::new();
+        // Split each class by membership: `(class, in set)` → new class,
+        // numbered in order of first appearance.
+        let mut refined = [u16::MAX; 512];
         let mut next = 0u16;
-        let mut refined = [0u8; 256];
         for b in 0..=255u8 {
-            let key = (of[usize::from(b)], set.contains(b));
-            let class = *map.entry(key).or_insert_with(|| {
-                let class = next;
+            let key = usize::from(of[usize::from(b)]) * 2 + usize::from(set.contains(b));
+            if refined[key] == u16::MAX {
+                refined[key] = next;
                 next += 1;
-                class
-            });
-            refined[usize::from(b)] = class as u8;
+            }
+            of[usize::from(b)] = refined[key] as u8;
         }
-        of = refined;
         count = usize::from(next);
     }
     let mut repr = vec![0u8; count];

@@ -15,7 +15,12 @@
 //!    `compile_set` programs into one spine.
 //! 3. **Engine selection**: ≤ 64 states run bit-parallel in a `u64`
 //!    (shift-or style, chunked follow tables, byte-class compressed);
-//!    ≤ 128 states in a `u128`; larger automata fall back to a
+//!    ≤ 128 states in a `u128`. A multi-identifier set that is wider
+//!    runs on a *bank* (module `bank`): the set is split by accept
+//!    identifier into bins that each fit one word, every input byte is
+//!    fed to each live bin, and the earliest acceptance wins. Only an
+//!    automaton with a single component over 128 states (one wide
+//!    pattern, or a set member that alone is that wide) falls back to a
 //!    byte-class-compressed lazy DFA. A pathological program that blows
 //!    the lowering budget falls back to the reference interpreter —
 //!    slower, never wrong.
@@ -32,9 +37,10 @@
 //!
 //! The resumable [`HostMatcher`] extends the chunk-split-invariance
 //! contract of [`cicero_isa::StreamMatcher`] to the native path: state is
-//! one machine word (or one DFA id), so feeding any split of an input is
-//! byte-for-byte equivalent to the whole-input run.
+//! one machine word per bin (or one DFA id), so feeding any split of an
+//! input is byte-for-byte equivalent to the whole-input run.
 
+mod bank;
 mod bytes;
 mod dfa;
 mod engine;
@@ -73,14 +79,16 @@ pub struct HostAllOutcome {
     pub first_match_position: Option<usize>,
 }
 
-/// Which execution strategy [`HostProgram::compile`] selected.
+/// Which execution strategy [`HostProgram::compile`] selected. A bank
+/// of bins (see [`HostProgram::bins`]) reports its widest bin's tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Bit-parallel, one `u64` state mask (≤ 64 states).
+    /// Bit-parallel, one `u64` state mask (≤ 64 states per bin).
     Bit64,
-    /// Bit-parallel, one `u128` state mask (65–128 states).
+    /// Bit-parallel, one `u128` state mask (65–128 states per bin).
     Bit128,
-    /// Byte-class-compressed lazy DFA (> 128 states).
+    /// Byte-class-compressed lazy DFA (a component of > 128 states that
+    /// no bank can split).
     LazyDfa,
     /// Reference-interpreter fallback (lowering budget exceeded).
     Interp,
@@ -102,6 +110,8 @@ enum Repr {
     W128(BitEngine<u128>),
     Dfa(dfa::SparseNfa),
     Interp(Program),
+    /// Bit-parallel bins of one set, each a `W64` or `W128` program.
+    Bank(Vec<HostProgram>),
 }
 
 /// Engine-tier selection thresholds: the largest automaton (in states)
@@ -148,6 +158,7 @@ impl std::fmt::Debug for HostProgram {
             .field("engine", &self.engine_kind())
             .field("states", &self.state_count())
             .field("byte_classes", &self.byte_class_count())
+            .field("bins", &self.bins())
             .finish()
     }
 }
@@ -165,21 +176,34 @@ impl HostProgram {
     /// clamped, never an error.
     pub fn compile_with_tiers(program: &Program, tiers: HostTiers) -> HostProgram {
         let tiers = tiers.clamped();
-        let repr = match nfa::lower(program) {
-            None => Repr::Interp(program.clone()),
+        match nfa::lower(program) {
+            None => HostProgram { repr: Repr::Interp(program.clone()) },
             Some(mut nfa) => {
+                // The bank projects the unfactored automaton; keep a copy
+                // only when even the factored one may be too wide.
+                let unfactored = (nfa.preds.len() > tiers.bit128_max).then(|| nfa.clone());
                 nfa::factor(&mut nfa);
-                let states = nfa.preds.len();
-                if states <= tiers.bit64_max {
-                    Repr::W64(BitEngine::build(&nfa))
-                } else if states <= tiers.bit128_max {
-                    Repr::W128(BitEngine::build(&nfa))
-                } else {
-                    Repr::Dfa(dfa::SparseNfa::build(&nfa))
-                }
+                HostProgram::bit_parallel(&nfa, tiers)
+                    .or_else(|| {
+                        let bins = bank::build(&unfactored?, tiers)?;
+                        Some(HostProgram { repr: Repr::Bank(bins) })
+                    })
+                    .unwrap_or_else(|| HostProgram { repr: Repr::Dfa(dfa::SparseNfa::build(&nfa)) })
             }
+        }
+    }
+
+    /// The one-word engine for a factored `nfa`, when it fits a tier.
+    fn bit_parallel(nfa: &nfa::Nfa, tiers: HostTiers) -> Option<HostProgram> {
+        let states = nfa.preds.len();
+        let repr = if states <= tiers.bit64_max {
+            Repr::W64(BitEngine::build(nfa))
+        } else if states <= tiers.bit128_max {
+            Repr::W128(BitEngine::build(nfa))
+        } else {
+            return None;
         };
-        HostProgram { repr }
+        Some(HostProgram { repr })
     }
 
     /// The selected execution strategy.
@@ -189,37 +213,66 @@ impl HostProgram {
             Repr::W128(_) => EngineKind::Bit128,
             Repr::Dfa(_) => EngineKind::LazyDfa,
             Repr::Interp(_) => EngineKind::Interp,
+            Repr::Bank(bins) => {
+                if bins.iter().any(|bin| bin.engine_kind() == EngineKind::Bit128) {
+                    EngineKind::Bit128
+                } else {
+                    EngineKind::Bit64
+                }
+            }
         }
     }
 
-    /// States in the lowered automaton (0 for the interpreter fallback).
+    /// Engines the input is fed to: the bank's bin count, 1 for every
+    /// other tier.
+    pub fn bins(&self) -> usize {
+        match &self.repr {
+            Repr::Bank(bins) => bins.len(),
+            _ => 1,
+        }
+    }
+
+    /// States in the lowered automaton, summed over a bank's bins (0 for
+    /// the interpreter fallback).
     pub fn state_count(&self) -> usize {
         match &self.repr {
             Repr::W64(e) => e.n_states,
             Repr::W128(e) => e.n_states,
             Repr::Dfa(n) => n.n_states,
             Repr::Interp(_) => 0,
+            Repr::Bank(bins) => bins.iter().map(HostProgram::state_count).sum(),
         }
     }
 
-    /// Byte classes the engine distinguishes (0 for the interpreter
-    /// fallback).
+    /// Byte classes the engine distinguishes, the most of any bin for a
+    /// bank (0 for the interpreter fallback).
     pub fn byte_class_count(&self) -> usize {
         match &self.repr {
             Repr::W64(e) => e.classes.count,
             Repr::W128(e) => e.classes.count,
             Repr::Dfa(n) => n.classes.count,
             Repr::Interp(_) => 0,
+            Repr::Bank(bins) => bins.iter().map(HostProgram::byte_class_count).max().unwrap_or(0),
         }
     }
 
     /// The extracted literal-prefilter stop bytes (the candidate bytes a
-    /// scan must inspect), when a prefilter was derived.
+    /// scan must inspect), when a prefilter was derived — for a bank,
+    /// the union over its bins when every bin has one.
     pub fn prefilter_stop_bytes(&self) -> Option<Vec<u8>> {
         match &self.repr {
             Repr::W64(e) => e.prefilter.as_ref().map(|p| p.stop_bytes()),
             Repr::W128(e) => e.prefilter.as_ref().map(|p| p.stop_bytes()),
             Repr::Dfa(_) | Repr::Interp(_) => None,
+            Repr::Bank(bins) => {
+                let mut stops = Vec::new();
+                for bin in bins {
+                    stops.extend(bin.prefilter_stop_bytes()?);
+                }
+                stops.sort_unstable();
+                stops.dedup();
+                Some(stops)
+            }
         }
     }
 
@@ -240,6 +293,24 @@ impl HostProgram {
             Repr::W64(e) => e.run_all(input),
             Repr::W128(e) => e.run_all(input),
             Repr::Dfa(n) => dfa::run_all(n, input),
+            Repr::Bank(bins) => {
+                // Each identifier lives in exactly one bin, so the id
+                // sets are disjoint.
+                let mut out = HostAllOutcome {
+                    accepted: false,
+                    matched_ids: Vec::new(),
+                    first_match_position: None,
+                };
+                for bin in bins {
+                    let all = bin.run_all(input);
+                    out.accepted |= all.accepted;
+                    out.matched_ids.extend(all.matched_ids);
+                    out.first_match_position =
+                        out.first_match_position.into_iter().chain(all.first_match_position).min();
+                }
+                out.matched_ids.sort_unstable();
+                out
+            }
             Repr::Interp(p) => {
                 let out = cicero_isa::run_all(p, input);
                 HostAllOutcome {
@@ -281,6 +352,7 @@ impl HostProgram {
             Repr::W128(e) => MatcherRepr::W128 { engine: e, matcher: BitMatcher::new(e) },
             Repr::Dfa(n) => MatcherRepr::Dfa(dfa::DfaMatcher::new(n)),
             Repr::Interp(p) => MatcherRepr::Interp(cicero_isa::StreamMatcher::new(p)),
+            Repr::Bank(bins) => MatcherRepr::Bank(bins.iter().map(HostProgram::matcher).collect()),
         };
         HostMatcher { inner, position: 0, done: None }
     }
@@ -302,6 +374,7 @@ enum MatcherRepr<'p> {
     W128 { engine: &'p BitEngine<u128>, matcher: BitMatcher<u128> },
     Dfa(dfa::DfaMatcher<'p>),
     Interp(cicero_isa::StreamMatcher<'p>),
+    Bank(Vec<HostMatcher<'p>>),
 }
 
 /// A resumable host-engine matcher, mirroring the lifecycle contract of
@@ -334,6 +407,7 @@ impl HostMatcher<'_> {
                 self.position = matcher.position();
                 out
             }
+            MatcherRepr::Bank(bins) => feed_bank(bins, chunk, &mut self.position),
         };
         self.done = outcome;
         outcome
@@ -349,6 +423,13 @@ impl HostMatcher<'_> {
             MatcherRepr::W128 { engine, matcher } => matcher.finish(engine, self.position),
             MatcherRepr::Dfa(matcher) => matcher.finish(self.position),
             MatcherRepr::Interp(matcher) => from_exec(matcher.finish()),
+            MatcherRepr::Bank(bins) => bins
+                .iter_mut()
+                .filter(|bin| !bin.is_done())
+                .map(HostMatcher::finish)
+                .filter(|outcome| outcome.accepted)
+                .min_by_key(|outcome| outcome.matched_id)
+                .unwrap_or(HostOutcome { accepted: false, match_position: None, matched_id: None }),
         };
         self.done = Some(outcome);
         outcome
@@ -367,6 +448,44 @@ impl HostMatcher<'_> {
     pub fn is_done(&self) -> bool {
         self.done.is_some()
     }
+}
+
+/// Feed `chunk` to every live bin of a bank. The earliest acceptance
+/// wins, ties going to the first identifier in resolution order (the
+/// unidentified arm, then the lowest id); once one bin has accepted, the
+/// rest only need the chunk up to and including that position. The bank
+/// is dead when every bin is, at the position of the last to die.
+fn feed_bank(
+    bins: &mut [HostMatcher<'_>],
+    chunk: &[u8],
+    position: &mut usize,
+) -> Option<HostOutcome> {
+    let start = *position;
+    let mut best: Option<HostOutcome> = None;
+    let mut live = false;
+    for bin in bins.iter_mut().filter(|bin| !bin.is_done()) {
+        let end = best.and_then(|b| b.match_position).map_or(chunk.len(), |at| at - start + 1);
+        match bin.feed(&chunk[..end]) {
+            Some(outcome) if outcome.accepted => {
+                let key = |o: HostOutcome| (o.match_position, o.matched_id);
+                if best.is_none_or(|b| key(outcome) < key(b)) {
+                    best = Some(outcome);
+                }
+            }
+            Some(_) => {}
+            None => live = true,
+        }
+    }
+    if let Some(outcome) = best {
+        *position = outcome.match_position.expect("an acceptance has a position");
+        return Some(outcome);
+    }
+    if live {
+        *position = start + chunk.len();
+        return None;
+    }
+    *position = bins.iter().map(HostMatcher::position).max().unwrap_or(start);
+    Some(HostOutcome { accepted: false, match_position: None, matched_id: None })
 }
 
 fn from_exec(out: cicero_isa::ExecOutcome) -> HostOutcome {
@@ -668,6 +787,201 @@ mod tests {
         let input: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
         assert_agrees(&p, &input);
         let _ = host; // engine kind is whatever the state count dictates
+    }
+
+    /// The bank and the monolithic lazy DFA, both built from one lowering
+    /// of `p`.
+    fn bank_and_dfa(p: &Program, tiers: HostTiers) -> (HostProgram, HostProgram) {
+        let lowered = nfa::lower(p).expect("lowering within budget");
+        let bins = bank::build(&lowered, tiers.clamped()).expect("the set splits into bins");
+        let mut factored = lowered;
+        nfa::factor(&mut factored);
+        let dfa = HostProgram { repr: Repr::Dfa(dfa::SparseNfa::build(&factored)) };
+        (HostProgram { repr: Repr::Bank(bins) }, dfa)
+    }
+
+    /// Every outcome and `position()` of one streamed run, chunk by chunk,
+    /// then at `finish`.
+    fn streamed<'a>(
+        host: &HostProgram,
+        chunks: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Vec<(Option<HostOutcome>, usize)> {
+        let mut matcher = host.matcher();
+        let mut seen: Vec<_> =
+            chunks.into_iter().map(|chunk| (matcher.feed(chunk), matcher.position())).collect();
+        seen.push((Some(matcher.finish()), matcher.position()));
+        seen
+    }
+
+    /// Assert the bank is observably the lazy DFA on `input`: outcome,
+    /// `run_all`, `position()` on every two-chunk split and on 1-byte
+    /// chunks, and `run_budgeted` under every byte budget. Verdicts and
+    /// id sets are also held to the interpreter.
+    fn assert_bank_agrees(bank: &HostProgram, dfa: &HostProgram, p: &Program, input: &[u8]) {
+        let out = bank.run(input);
+        assert_eq!(out, dfa.run(input), "run on {input:?}");
+        let reference = run(p, input);
+        assert_eq!(out.accepted, reference.accepted, "verdict on {input:?}");
+        assert_eq!(out.match_position, reference.match_position, "match end on {input:?}");
+        let all = bank.run_all(input);
+        assert_eq!(all, dfa.run_all(input), "run_all on {input:?}");
+        assert_eq!(all.matched_ids, run_all(p, input).matched_ids, "id set on {input:?}");
+        for split in 0..=input.len() {
+            let halves = [&input[..split], &input[split..]];
+            assert_eq!(streamed(bank, halves), streamed(dfa, halves), "split {split} of {input:?}");
+        }
+        assert_eq!(streamed(bank, input.chunks(1)), streamed(dfa, input.chunks(1)), "{input:?}");
+        for budget in 0..=input.len() as u64 + 1 {
+            assert_eq!(
+                bank.run_budgeted(input, Some(budget)),
+                dfa.run_budgeted(input, Some(budget)),
+                "budget {budget} on {input:?}"
+            );
+        }
+    }
+
+    /// Tiers narrow enough that the small sets below need several bins.
+    const NARROW: HostTiers = HostTiers { bit64_max: 4, bit128_max: 8 };
+    const NARROWER: HostTiers = HostTiers { bit64_max: 4, bit128_max: 4 };
+
+    #[test]
+    fn bank_breaks_same_position_ties_across_bins_like_the_dfa() {
+        // Every member ends on `b`, so "xab" fires all three at once.
+        let set = cicero_core::Compiler::new().compile_set(&["xab", "ab", "b", "yb"]).unwrap();
+        let p = set.program();
+        let (bank, dfa) = bank_and_dfa(p, NARROW);
+        assert!(bank.bins() >= 2, "{bank:?}");
+        for input in ["xab", "zzxabzz", "ab", "b", "", "bbb", "xa", "yxab", "abxab"] {
+            assert_bank_agrees(&bank, &dfa, p, input.as_bytes());
+        }
+        assert_eq!(bank.run(b"xab").matched_id, Some(0));
+        // First-fit packs `b` (id 2) beside `qq` in bin 0 and leaves the
+        // wide `zzzzzb` (id 1) alone in bin 1: the later bin holds the
+        // lower id, and it must still see the tied position.
+        let set = cicero_core::Compiler::new().compile_set(&["qq", "zzzzzb", "b"]).unwrap();
+        let p = set.program();
+        let (bank, dfa) = bank_and_dfa(p, NARROW);
+        assert_eq!(bank.bins(), 2, "{bank:?}");
+        for input in ["zzzzzbx", "zzzzzb", "qzzzzzbq", "bzzzzzb", "qq"] {
+            assert_bank_agrees(&bank, &dfa, p, input.as_bytes());
+        }
+        assert_eq!(bank.run(b"zzzzzbx").matched_id, Some(1));
+    }
+
+    #[test]
+    fn bank_puts_the_unidentified_arm_first() {
+        // Unanchored: `ab` (unidentified), `b` (id 3), `c` (id 1).
+        let p = program(scan_loop(vec![
+            Split(7),
+            Match(b'a'),
+            Match(b'b'),
+            AcceptPartial,
+            Split(10),
+            Match(b'b'),
+            AcceptPartialId(3),
+            Match(b'c'),
+            AcceptPartialId(1),
+        ]));
+        let (bank, dfa) = bank_and_dfa(&p, NARROWER);
+        assert!(bank.bins() >= 2, "{bank:?}");
+        for input in ["ab", "xxab", "b", "cb", "bc", "", "aab", "abc"] {
+            assert_bank_agrees(&bank, &dfa, &p, input.as_bytes());
+        }
+        assert_eq!(bank.run(b"ab").matched_id, None);
+        assert!(bank.run(b"ab").accepted);
+    }
+
+    #[test]
+    fn bank_resolves_end_of_input_acceptance() {
+        // `^ab$` (unidentified, fires only at end of input) beside an
+        // unanchored `b` (id 2) that fires there too.
+        let p = program(vec![
+            Split(4),
+            Match(b'a'),
+            Match(b'b'),
+            Accept,
+            Split(7),
+            MatchAny,
+            Jump(4),
+            Match(b'b'),
+            AcceptPartialId(2),
+        ]);
+        let (bank, dfa) = bank_and_dfa(&p, NARROWER);
+        assert!(bank.bins() >= 2, "{bank:?}");
+        for input in ["ab", "abc", "xab", "a", "", "b", "abb"] {
+            assert_bank_agrees(&bank, &dfa, &p, input.as_bytes());
+        }
+        let out = bank.run(b"ab");
+        assert_eq!((out.match_position, out.matched_id), (Some(2), None));
+    }
+
+    #[test]
+    fn bank_dies_with_its_last_bin() {
+        // Anchored members that die at different offsets, plus `az*`, a
+        // path that reaches no arm and keeps the run alive on its own.
+        let p = program(vec![
+            Split(5),
+            Match(b'a'),
+            Match(b'b'),
+            Match(b'c'),
+            AcceptPartialId(0),
+            Split(9),
+            Match(b'a'),
+            Match(b'x'),
+            AcceptPartialId(1),
+            Split(14),
+            Match(b'a'),
+            Match(b'b'),
+            Match(b'd'),
+            AcceptPartialId(2),
+            Match(b'a'),
+            Match(b'z'),
+            Jump(15),
+        ]);
+        let (bank, dfa) = bank_and_dfa(&p, NARROW);
+        assert!(bank.bins() >= 2, "{bank:?}");
+        for input in ["abcq", "axq", "abdq", "azzzzq", "azzz", "q", "", "a", "ab", "abz", "abdz"] {
+            assert_bank_agrees(&bank, &dfa, &p, input.as_bytes());
+        }
+        let mut matcher = bank.matcher();
+        let dead = HostOutcome { accepted: false, match_position: None, matched_id: None };
+        assert_eq!(matcher.feed(b"azzzzq"), Some(dead));
+        assert_eq!(matcher.position(), 5, "dead where `az*` dies, not where the members do");
+    }
+
+    #[test]
+    fn suite_sets_select_the_bank_and_agree_with_the_interpreter() {
+        for suite in [
+            workloads::Benchmark::protomata(0xC1CE_2025, 16, 4),
+            workloads::Benchmark::brill(0xC1CE_2025, 16, 4),
+        ] {
+            let set = cicero_core::Compiler::new().compile_set(&suite.patterns).unwrap();
+            let p = set.program();
+            let host = HostProgram::compile(p);
+            assert!(host.bins() > 1, "{}: {host:?}", suite.name);
+            assert_ne!(host.engine_kind(), EngineKind::LazyDfa, "{}", suite.name);
+            let (bank, dfa) = bank_and_dfa(p, HostTiers::default());
+            for chunk in &suite.chunks {
+                let out = host.run(chunk);
+                let reference = run(p, chunk);
+                assert_eq!(out.accepted, reference.accepted, "{}", suite.name);
+                assert_eq!(out.match_position, reference.match_position, "{}", suite.name);
+                assert_eq!(out, dfa.run(chunk), "{}", suite.name);
+                assert_eq!(host.run_all(chunk).matched_ids, run_all(p, chunk).matched_ids);
+                assert_eq!(bank.run_all(chunk), dfa.run_all(chunk), "{}", suite.name);
+                let mid = chunk.len() / 3;
+                let thirds = [&chunk[..mid], &chunk[mid..2 * mid], &chunk[2 * mid..]];
+                assert_eq!(streamed(&bank, thirds), streamed(&dfa, thirds), "{}", suite.name);
+            }
+        }
+    }
+
+    #[test]
+    fn single_identifier_programs_never_take_the_bank() {
+        // One wide pattern has one accept identifier: nothing to split.
+        let p = cicero_core::compile("(ab|cd|ef){1,40}x").unwrap().into_program();
+        assert!(bank::build(&nfa::lower(&p).unwrap(), HostTiers::default()).is_none());
+        assert_eq!(HostProgram::compile(&p).engine_kind(), EngineKind::LazyDfa);
     }
 
     #[test]

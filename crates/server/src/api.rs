@@ -427,6 +427,7 @@ fn handle_scan(shared: &Shared, request: &Request, root: &TraceSpan) -> Response
     // Merging the per-chunk outcomes re-runs accepted chunks through the
     // all-matches interpreter, which is real work worth its own span.
     let merge_span = root.child("merge");
+    let host = (backend == Backend::Host).then(|| shared.runtime.host_program(&program));
     let mut per_pattern = vec![0u64; source.patterns().len()];
     let mut cycles = 0u64;
     let mut budget_kind = None;
@@ -442,11 +443,9 @@ fn handle_scan(shared: &Shared, request: &Request, root: &TraceSpan) -> Response
                     // is the memoized host engine; on sim it is the
                     // functional interpreter. Their id sets are
                     // byte-identical (proptested in cicero-runtime).
-                    let ids = match backend {
-                        Backend::Host => {
-                            shared.runtime.host_program(&program).run_all(chunk).matched_ids
-                        }
-                        Backend::Sim => cicero_isa::run_all(&program, chunk).matched_ids,
+                    let ids = match &host {
+                        Some(host) => host.run_all(chunk).matched_ids,
+                        None => cicero_isa::run_all(&program, chunk).matched_ids,
                     };
                     for id in ids {
                         if let Some(count) = per_pattern.get_mut(usize::from(id)) {

@@ -12,7 +12,9 @@
 //!
 //! * **Spans** ([`Telemetry::span`]): nested wall-clock regions with
 //!   arbitrary key/value annotations. The compiler opens one span per
-//!   pipeline stage and one child span per pass.
+//!   pipeline stage and one child span per pass. A collector keeps the
+//!   [`MAX_CLOSED_SPANS`] most recently closed spans, so a long-lived
+//!   one (a server's) stays bounded however many requests it sees.
 //! * **Metrics** ([`Telemetry::counter_add`], [`Telemetry::gauge_set`],
 //!   [`Telemetry::observe`]): a registry of counters, gauges, and
 //!   fixed-bucket histograms. The simulator folds every run's
@@ -78,20 +80,26 @@ pub mod sink;
 pub mod span;
 pub mod trace;
 
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 pub use json::{escape_json, JsonObject, Value};
 pub use metrics::{Exemplar, HistogramSnapshot, Metric, MetricsRegistry};
 pub use recorder::{FlightRecorder, FlightRecorderOptions};
-pub use span::{Span, SpanRecord};
+pub use span::{Span, SpanRecord, MAX_CLOSED_SPANS};
 pub use trace::{render_chrome_trace, RequestTrace, TraceContext, TraceSpan, TraceSpanRecord};
 
 pub(crate) struct Inner {
     pub(crate) epoch: Instant,
-    pub(crate) spans: Vec<SpanRecord>,
-    /// Indices of currently open spans, innermost last.
-    pub(crate) open: Vec<usize>,
+    /// Retained span records by sequence number (iteration is open order).
+    pub(crate) spans: BTreeMap<u64, SpanRecord>,
+    /// Sequence number of the next span to open.
+    pub(crate) next_span: u64,
+    /// Sequence numbers of currently open spans, innermost last.
+    pub(crate) open: Vec<u64>,
+    /// Sequence numbers of retained closed spans, oldest close first.
+    pub(crate) closed: VecDeque<u64>,
     /// Instantaneous named records (benchmark rows, one-off facts).
     pub(crate) events: Vec<(String, Vec<(String, Value)>)>,
 }
@@ -133,8 +141,10 @@ impl Telemetry {
         Telemetry {
             inner: Arc::new(Mutex::new(Inner {
                 epoch: Instant::now(),
-                spans: Vec::new(),
+                spans: BTreeMap::new(),
+                next_span: 0,
                 open: Vec::new(),
+                closed: VecDeque::new(),
                 events: Vec::new(),
             })),
             metrics: shard::ShardedMetrics::new(),
@@ -158,9 +168,10 @@ impl Telemetry {
         self.lock().events.push((name.into(), attrs));
     }
 
-    /// Snapshot of all finished spans, in open order.
+    /// Snapshot of the retained finished spans (the last
+    /// [`MAX_CLOSED_SPANS`] to close), in open order.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.lock().spans.iter().filter(|s| s.closed).cloned().collect()
+        self.lock().spans.values().filter(|s| s.closed).cloned().collect()
     }
 
     // -- metrics -----------------------------------------------------------
@@ -285,6 +296,26 @@ mod tests {
         assert_eq!(inner.depth, 1);
         assert!(outer.duration >= inner.duration);
         assert_eq!(outer.attrs[0].0, "k");
+    }
+
+    #[test]
+    fn closed_span_retention_is_bounded() {
+        let t = Telemetry::new();
+        let outer = t.span("outer");
+        for i in 0..100_000u64 {
+            t.span("request").annotate("i", i);
+        }
+        outer.close();
+        let spans = t.spans();
+        assert_eq!(spans.len(), MAX_CLOSED_SPANS);
+        assert_eq!(t.lock().spans.len(), MAX_CLOSED_SPANS);
+        // The most recent closes survive, the long-lived outer one among
+        // them; the oldest requests are gone.
+        assert_eq!(spans[0].name, "outer");
+        let first = 100_000 - (MAX_CLOSED_SPANS as u64 - 1);
+        assert_eq!(spans[1].attrs[0].1.to_string(), first.to_string());
+        assert_eq!(spans.last().unwrap().attrs[0].1.to_string(), "99999");
+        assert!(spans[1..].iter().all(|s| s.depth == 1));
     }
 
     #[test]

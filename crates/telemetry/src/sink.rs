@@ -22,8 +22,9 @@ pub fn render_summary(telemetry: &Telemetry) -> String {
 
     if !inner.spans.is_empty() {
         out.push_str("spans:\n");
-        let name_width = inner.spans.iter().map(|s| s.name.len() + 2 * s.depth).max().unwrap_or(0);
-        for span in &inner.spans {
+        let name_width =
+            inner.spans.values().map(|s| s.name.len() + 2 * s.depth).max().unwrap_or(0);
+        for span in inner.spans.values() {
             let indent = "  ".repeat(span.depth);
             let label = format!("{indent}{}", span.name);
             let _ = write!(out, "  {label:<name_width$}  {:>10.1} us", micros(span.duration));
@@ -88,7 +89,7 @@ pub fn render_jsonl(telemetry: &Telemetry) -> String {
     let inner = telemetry.lock();
     let mut out = String::new();
 
-    for span in &inner.spans {
+    for span in inner.spans.values() {
         let mut obj = JsonObject::new()
             .field("type", "span")
             .field("name", span.name.as_str())

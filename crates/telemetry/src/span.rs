@@ -4,6 +4,10 @@ use std::time::Duration;
 
 use crate::{Telemetry, Value};
 
+/// Closed spans a collector retains; closing one more drops the record
+/// of the span that closed longest ago. Open spans are always kept.
+pub const MAX_CLOSED_SPANS: usize = 4096;
+
 /// A finished (or still-open) span as stored in the collector.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
@@ -28,36 +32,40 @@ pub struct SpanRecord {
 #[derive(Debug)]
 pub struct Span {
     telemetry: Telemetry,
-    index: usize,
+    id: u64,
     start: std::time::Instant,
 }
 
 pub(crate) fn enter(telemetry: Telemetry, name: String) -> Span {
     let start = std::time::Instant::now();
-    let index = {
+    let id = {
         let mut inner = telemetry.lock();
         let depth = inner.open.len();
         let rel_start = start.duration_since(inner.epoch);
-        let index = inner.spans.len();
-        inner.spans.push(SpanRecord {
-            name,
-            start: rel_start,
-            duration: Duration::ZERO,
-            depth,
-            attrs: Vec::new(),
-            closed: false,
-        });
-        inner.open.push(index);
-        index
+        let id = inner.next_span;
+        inner.next_span += 1;
+        inner.spans.insert(
+            id,
+            SpanRecord {
+                name,
+                start: rel_start,
+                duration: Duration::ZERO,
+                depth,
+                attrs: Vec::new(),
+                closed: false,
+            },
+        );
+        inner.open.push(id);
+        id
     };
-    Span { telemetry, index, start }
+    Span { telemetry, id, start }
 }
 
 impl Span {
     /// Attach a key/value annotation.
     pub fn annotate(&self, key: impl Into<String>, value: impl Into<Value>) {
         let mut inner = self.telemetry.lock();
-        let record = &mut inner.spans[self.index];
+        let record = inner.spans.get_mut(&self.id).expect("open spans are retained");
         record.attrs.push((key.into(), value.into()));
     }
 
@@ -66,7 +74,7 @@ impl Span {
 
     /// The span's name.
     pub fn name(&self) -> String {
-        self.telemetry.lock().spans[self.index].name.clone()
+        self.telemetry.lock().spans[&self.id].name.clone()
     }
 }
 
@@ -74,11 +82,20 @@ impl Drop for Span {
     fn drop(&mut self) {
         let elapsed = self.start.elapsed();
         let mut inner = self.telemetry.lock();
-        let record = &mut inner.spans[self.index];
-        record.duration = elapsed;
-        record.closed = true;
+        // Only closed spans are ever dropped from the collector, so the
+        // record is there; `Drop` must not panic regardless.
+        if let Some(record) = inner.spans.get_mut(&self.id) {
+            record.duration = elapsed;
+            record.closed = true;
+        }
         // Tolerate out-of-order drops: remove this span wherever it sits
         // in the open stack.
-        inner.open.retain(|open| *open != self.index);
+        inner.open.retain(|open| *open != self.id);
+        inner.closed.push_back(self.id);
+        if inner.closed.len() > MAX_CLOSED_SPANS {
+            if let Some(oldest) = inner.closed.pop_front() {
+                inner.spans.remove(&oldest);
+            }
+        }
     }
 }

@@ -73,7 +73,8 @@ fn the_registry_corpus_cases_round_trip_the_persist_format() {
 /// The host-backend satellite cases must stay committed, and they must
 /// actually select the engine tiers they claim to pin: an empty
 /// alternative, a prefilter-defeating dot pattern, a u128-tier NFA, a
-/// lazy-DFA blowup, and a shared-prefix set.
+/// lazy-DFA blowup, a shared-prefix set, and a registry set wide enough
+/// to split into a bank of bit-parallel bins.
 #[test]
 fn the_host_backend_corpus_cases_cover_every_engine_tier() {
     use cicero::hostexec::{EngineKind, HostProgram};
@@ -95,6 +96,17 @@ fn the_host_backend_corpus_cases_cover_every_engine_tier() {
         );
         assert_eq!(tier(pattern), want, "{pattern:?} no longer selects {want:?}");
     }
+    // A newline-joined set past 128 states runs on a bank of bins, not
+    // on the lazy DFA that one wide pattern still selects.
+    let bank_set = replayed
+        .iter()
+        .find(|(case, _)| case.name == "registry-host-bank-set")
+        .map(|(case, _)| difftest::split_set(&case.pattern))
+        .expect("missing the host bank corpus case");
+    let set = cicero::compiler::Compiler::new().compile_set(&bank_set).unwrap();
+    let host = HostProgram::compile(set.program());
+    assert!(host.bins() > 1, "the bank corpus set no longer splits: {host:?}");
+    assert_ne!(host.engine_kind(), EngineKind::LazyDfa, "{host:?}");
     // The dot-heavy case must really defeat the prefilter.
     let dots = cicero::compiler::compile("....").unwrap().into_program();
     assert_eq!(HostProgram::compile(&dots).prefilter_stop_bytes(), None);

@@ -343,4 +343,28 @@ proptest! {
             host.engine_kind()
         );
     }
+
+    /// Tiers narrow enough that small random sets split into a bank of
+    /// bins: the bank keeps the interpreter's verdict, earliest end and
+    /// id set, streamed or not.
+    #[test]
+    fn host_bank_matches_interpreter_on_sets(
+        patterns in prop::collection::vec(pattern_strategy(), 2..5),
+        input in input_strategy(),
+    ) {
+        use cicero::hostexec::{HostProgram, HostTiers};
+        let set = cicero_core::Compiler::new().compile_set(&patterns).unwrap();
+        let program = set.program();
+        let host =
+            HostProgram::compile_with_tiers(program, HostTiers { bit64_max: 8, bit128_max: 16 });
+        let want = cicero_isa::run(program, &input);
+        let got = host.run(&input);
+        let context = format!("{patterns:?} / {:?} ({host:?})", String::from_utf8_lossy(&input));
+        prop_assert_eq!(got.accepted, want.accepted, "verdict on {}", &context);
+        prop_assert_eq!(got.match_position, want.match_position, "end on {}", &context);
+        let streamed = cicero::hostexec::run_chunked(&host, input.chunks(3));
+        prop_assert_eq!(streamed, got, "3-byte chunks on {}", &context);
+        let want_all = cicero_isa::run_all(program, &input);
+        prop_assert_eq!(host.run_all(&input).matched_ids, want_all.matched_ids, "ids on {}", &context);
+    }
 }
