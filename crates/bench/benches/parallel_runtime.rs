@@ -46,7 +46,7 @@ use std::time::Instant;
 
 use cicero_bench::{banner, f2, suites, Scale, Table};
 use cicero_core::Backend;
-use cicero_runtime::{Budget, Runtime, RuntimeOptions};
+use cicero_runtime::{Budget, GuardedBatch, Runtime, RuntimeOptions};
 use cicero_sim::{simulate_batch, ArchConfig};
 
 /// Serving rounds per suite: one cold round, the rest cache hits.
@@ -75,6 +75,19 @@ struct HostRow {
     jobs: usize,
     wall_mbps: f64,
     speedup_vs_1_worker: f64,
+}
+
+/// One served request: compile `pattern` through the runtime's cache and
+/// run it over `chunks` on `backend`.
+fn serve(
+    runtime: &Runtime,
+    backend: Backend,
+    pattern: &str,
+    chunks: &[Vec<u8>],
+    config: &ArchConfig,
+) -> GuardedBatch {
+    let program = runtime.compile(pattern).expect("suite compiles");
+    runtime.run_batch_guarded_traced_on(backend, &program, chunks, config, &Budget::UNLIMITED, None)
 }
 
 fn main() {
@@ -114,9 +127,7 @@ fn main() {
             let mut makespan_cycles = 0u64;
             for _ in 0..ROUNDS {
                 for pattern in &bench.patterns {
-                    let batch = runtime
-                        .match_batch(pattern, &bench.chunks, &config)
-                        .expect("suite compiles");
+                    let batch = serve(&runtime, Backend::Sim, pattern, &bench.chunks, &config);
                     makespan_cycles += batch.workers.iter().map(|w| w.cycles).max().unwrap_or(0);
                 }
             }
@@ -148,16 +159,7 @@ fn main() {
             let start = Instant::now();
             for _ in 0..ROUNDS {
                 for pattern in &bench.patterns {
-                    runtime
-                        .match_batch_guarded_traced_on(
-                            Backend::Host,
-                            pattern,
-                            &bench.chunks,
-                            &config,
-                            &Budget::default(),
-                            None,
-                        )
-                        .expect("suite compiles");
+                    serve(&runtime, Backend::Host, pattern, &bench.chunks, &config);
                 }
             }
             let wall_mbps = total_bytes as f64 / start.elapsed().as_secs_f64() / 1e6;

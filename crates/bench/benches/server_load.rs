@@ -363,7 +363,7 @@ fn main() {
             single.throughput_rps
         );
     } else {
-        println!("  (single-core host: speedup recorded but not asserted)");
+        println!("  (speedup recorded but not asserted: {host_cpus} CPU(s), the floor needs >= 4)");
     }
 
     let path =

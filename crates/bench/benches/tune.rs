@@ -135,7 +135,7 @@ fn main() {
          miss) on the protomata/brill packs and the registry ruleset; each suite row pair \
          shares a workload; asserted: tuned cost <= default cost on every suite and the same \
          seed + budget reproduces the same winner; cycles/throughput are simulated at the \
-         row's architecture, D_offset is the paper's speculation-depth metric\",\n",
+         row's architecture, D_offset is the paper's code-locality metric (Eq. 1)\",\n",
     );
     json.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {

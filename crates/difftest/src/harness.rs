@@ -23,9 +23,10 @@
 //!   queued threads at earlier positions), so *every* simulator cell has
 //!   any-match semantics — the ruling pinned in
 //!   `tests/match_end_semantics.rs`;
-//! * batch level: [`simulate_batch_parallel`] at 1/2/4 workers must be
-//!   byte-identical to the sequential [`simulate_batch`], and the
-//!   [`Runtime`]'s cached path must reproduce the same reports;
+//! * batch level: the [`Runtime`]'s batch executor at 1/2/4 workers must
+//!   be byte-identical to the sequential [`simulate_batch`] on the
+//!   simulator, and must reproduce [`HostProgram::run`]'s verdict and
+//!   earliest end on every input on the host engine;
 //! * stream level (chunk-split invariance): the input re-run through the
 //!   resumable matchers — [`cicero_isa::run_chunked`], the host engine's
 //!   [`cicero_hostexec::HostProgram::run_chunked`], and
@@ -36,10 +37,11 @@
 //!   caller-provided split vectors (randomized ones from the fuzzer,
 //!   committed ones from the corpus).
 
-use cicero_core::{CompileError, Compiler, CompilerOptions};
-use cicero_hostexec::HostProgram;
+use cicero_core::{Backend, CompileError, Compiler, CompilerOptions};
+use cicero_hostexec::{HostOutcome, HostProgram};
 use cicero_isa::Program;
-use cicero_sim::{simulate, simulate_batch, simulate_batch_parallel, ArchConfig};
+use cicero_runtime::{Budget, MatchOutcome, Runtime, RuntimeOptions};
+use cicero_sim::{simulate, simulate_batch, ArchConfig, ExecReport};
 use regex_oracle::Oracle;
 
 /// Worker counts exercised at batch level.
@@ -327,40 +329,61 @@ fn deterministic_splits(input: &[u8]) -> Vec<Vec<usize>> {
     splits
 }
 
-/// Batch-level determinism: parallel enumeration over the worker pool must
-/// be observationally identical to sequential execution, and the runtime's
-/// cached path must serve byte-identical reports.
+/// Batch-level determinism: the runtime's batch executor at every worker
+/// count must reproduce the sequential [`simulate_batch`] byte for byte on
+/// the simulator, and each input's verdict and match end must equal
+/// [`HostProgram::run`] on the host engine.
 pub fn check_batch(put: &PatternUnderTest, inputs: &[Vec<u8>]) -> Outcome {
     if inputs.is_empty() {
         return Outcome::Pass;
     }
     let config = ArchConfig::new_organization(4, 1);
-    for (level, program) in &put.programs {
+    let runtimes = PARALLEL_JOBS
+        .map(|jobs| (jobs, Runtime::new(RuntimeOptions { jobs, ..RuntimeOptions::default() })));
+    for ((level, program), host) in put.programs.iter().zip(&put.hosts) {
         let sequential = simulate_batch(program, inputs, &config);
-        for jobs in PARALLEL_JOBS {
-            let parallel = simulate_batch_parallel(program, inputs, &config, jobs);
-            if parallel != sequential {
-                let detail = first_report_difference(&sequential, &parallel, jobs);
+        let whole: Vec<HostOutcome> = inputs.iter().map(|input| host.run(input)).collect();
+        for (jobs, runtime) in &runtimes {
+            let run = |backend| {
+                runtime.run_batch_guarded_traced_on(
+                    backend,
+                    program,
+                    inputs,
+                    &config,
+                    &Budget::UNLIMITED,
+                    None,
+                )
+            };
+            let sim = run(Backend::Sim);
+            let same = |s: &ExecReport, o: &MatchOutcome| o == &MatchOutcome::Complete(*s);
+            if let Some(detail) = first_disagreement(&sequential, &sim.outcomes, *jobs, same) {
                 return diverged(format!("parallel/{level}/jobs{jobs}"), detail, put, &[]);
+            }
+            let host = run(Backend::Host);
+            let agrees = |w: &HostOutcome, o: &MatchOutcome| {
+                matches!(o, MatchOutcome::Complete(r)
+                    if r.accepted == w.accepted && r.match_position == w.match_position)
+            };
+            if let Some(detail) = first_disagreement(&whole, &host.outcomes, *jobs, agrees) {
+                return diverged(format!("parallel-host/{level}/jobs{jobs}"), detail, put, &[]);
             }
         }
     }
     Outcome::Pass
 }
 
-fn first_report_difference(
-    sequential: &[cicero_sim::ExecReport],
-    parallel: &[cicero_sim::ExecReport],
+/// The first input whose batch outcome disagrees with its reference.
+fn first_disagreement<T: std::fmt::Debug>(
+    want: &[T],
+    outcomes: &[MatchOutcome],
     jobs: usize,
-) -> String {
-    for (i, (s, p)) in sequential.iter().zip(parallel).enumerate() {
-        if s != p {
-            return format!(
-                "input {i} differs at {jobs} workers: sequential {s:?}, parallel {p:?}"
-            );
-        }
+    agrees: impl Fn(&T, &MatchOutcome) -> bool,
+) -> Option<String> {
+    if outcomes.len() != want.len() {
+        return Some(format!("{} outcome(s) for {} input(s)", outcomes.len(), want.len()));
     }
-    format!("report count differs: {} sequential vs {} parallel", sequential.len(), parallel.len())
+    let (i, (w, o)) = want.iter().zip(outcomes).enumerate().find(|(_, (w, o))| !agrees(w, o))?;
+    Some(format!("input {i} differs at {jobs} workers: reference {w:?}, batch {o:?}"))
 }
 
 /// The full check for one pattern and its input set: every per-input cell,

@@ -1,33 +1,30 @@
-//! Per-request resource budgets and the guarded batch pool.
+//! Per-request resource budgets and the batch executor.
 //!
-//! The plain batch path ([`Runtime::match_batch`]) assumes execution
-//! cannot fail: no bound on simulated work beyond the architecture's own
-//! `max_cycles` safety valve, no wall-clock bound, and a panicking worker
-//! tears the whole batch down. That is fine for benchmarks; a serving
-//! runtime needs the opposite defaults. The *guarded* path adds:
+//! Every batch runs guarded:
 //!
-//! * **fuel** — a per-input cap on simulated cycles; exhausting it yields
-//!   [`MatchOutcome::Budget`] with the partial report instead of letting a
-//!   pathological pattern spin to the 200M-cycle architectural limit;
+//! * **fuel** — a per-input cap on simulated cycles (bytes examined on the
+//!   host engine); exhausting it yields [`MatchOutcome::Budget`] with the
+//!   partial report instead of letting a pathological pattern spin to the
+//!   200M-cycle architectural limit;
 //! * **deadline** — a wall-clock budget for the whole batch; inputs not
 //!   started before expiry complete immediately as budget errors;
 //! * **panic isolation** — each input runs under `catch_unwind`; a panic
-//!   discards the (possibly corrupt) worker [`Machine`], respawns a fresh
+//!   discards the (possibly corrupt) worker machine, respawns a fresh
 //!   one, and retries the input once. The recovery is counted in
 //!   [`GuardedBatch::worker_restarts`] and the `runtime.worker_restarts`
 //!   telemetry counter; a second panic on the same input reports
 //!   [`MatchOutcome::Fault`] and the batch still completes.
-//!
-//! [`Runtime::match_batch`]: crate::Runtime::match_batch
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use cicero_core::{Backend, CompileError};
+use cicero_core::Backend;
 use cicero_isa::Program;
-use cicero_sim::{ArchConfig, ExecReport, Machine, WorkerStats};
-use cicero_telemetry::{TraceContext, TraceSpan};
+use cicero_sim::{ArchConfig, ExecReport, WorkerStats};
+use cicero_telemetry::{Telemetry, TraceSpan};
 
-use crate::{host_exec_report, Runtime};
+use crate::engine::Engine;
+use crate::Runtime;
 
 /// Resource limits for one request (batch or stream). The default is
 /// unlimited on both axes.
@@ -41,7 +38,7 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// No limits (the plain batch path's semantics).
+    /// No limits.
     pub const UNLIMITED: Budget = Budget { fuel: None, deadline: None };
 
     /// Limit each input to `fuel` simulated cycles.
@@ -134,8 +131,6 @@ pub struct GuardedBatch {
     /// Workers respawned after a panic (also exported as the
     /// `runtime.worker_restarts` counter).
     pub worker_restarts: u64,
-    /// Whether the program came out of the cache.
-    pub cache_hit: bool,
     /// Host wall-clock time spent executing the batch.
     pub wall: Duration,
 }
@@ -165,6 +160,10 @@ impl GuardedBatch {
     }
 }
 
+/// An input the deadline expired before.
+const NOT_STARTED: MatchOutcome =
+    MatchOutcome::Budget { kind: BudgetKind::Deadline, partial: None };
+
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -176,92 +175,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl Runtime {
-    /// Compile `pattern` (through the cache) and run it over every input
-    /// with per-request budgets and worker panic isolation.
+    /// Run a compiled program over every input on `backend` with
+    /// per-request budgets and worker panic isolation: the runtime's one
+    /// batch executor. Compile first with [`Runtime::compile_traced`] or
+    /// [`Runtime::compile_set_traced`]; pass [`Runtime::backend`] unless
+    /// the request overrides it.
     ///
-    /// # Errors
-    ///
-    /// Compilation errors only; execution failures are reported per input
-    /// in [`GuardedBatch::outcomes`].
-    pub fn match_batch_guarded(
-        &self,
-        pattern: &str,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-        budget: &Budget,
-    ) -> Result<GuardedBatch, CompileError> {
-        self.match_batch_guarded_traced(pattern, inputs, config, budget, None)
-    }
-
-    /// [`Runtime::match_batch_guarded`] with request tracing: a `compile`
-    /// child span (per-pass children on a miss) and an `execute` child
-    /// span with one `sim.worker-N` span per pool worker, annotated with
-    /// cycle and i-cache totals.
-    ///
-    /// # Errors
-    ///
-    /// Compilation errors only; execution failures are reported per input
-    /// in [`GuardedBatch::outcomes`].
-    pub fn match_batch_guarded_traced(
-        &self,
-        pattern: &str,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-        budget: &Budget,
-        trace: Option<&TraceSpan>,
-    ) -> Result<GuardedBatch, CompileError> {
-        self.match_batch_guarded_traced_on(self.backend(), pattern, inputs, config, budget, trace)
-    }
-
-    /// [`Runtime::match_batch_guarded_traced`] on an explicit backend
-    /// (the per-request override the server's `X-Cicero-Backend` header
-    /// resolves to). The compiled program is identical either way; only
-    /// the execution engine differs.
-    ///
-    /// # Errors
-    ///
-    /// Compilation errors only; execution failures are reported per input
-    /// in [`GuardedBatch::outcomes`].
-    pub fn match_batch_guarded_traced_on(
-        &self,
-        backend: Backend,
-        pattern: &str,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-        budget: &Budget,
-        trace: Option<&TraceSpan>,
-    ) -> Result<GuardedBatch, CompileError> {
-        let (program, cache_hit) = self.compile_traced(pattern, trace)?;
-        Ok(self
-            .run_batch_guarded_inner(backend, &program, inputs, config, budget, cache_hit, trace))
-    }
-
-    /// Run an already-compiled program over every input with budgets and
-    /// panic isolation (`cache_hit` is reported as `false`).
-    pub fn run_batch_guarded(
-        &self,
-        program: &Program,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-        budget: &Budget,
-    ) -> GuardedBatch {
-        self.run_batch_guarded_inner(self.backend(), program, inputs, config, budget, false, None)
-    }
-
-    /// [`Runtime::run_batch_guarded`] with request tracing (see
-    /// [`Runtime::match_batch_guarded_traced`]).
-    pub fn run_batch_guarded_traced(
-        &self,
-        program: &Program,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-        budget: &Budget,
-        trace: Option<&TraceSpan>,
-    ) -> GuardedBatch {
-        self.run_batch_guarded_inner(self.backend(), program, inputs, config, budget, false, trace)
-    }
-
-    /// [`Runtime::run_batch_guarded_traced`] on an explicit backend.
+    /// Up to [`Runtime::jobs`] scoped worker threads pull input indices
+    /// from a shared counter; a batch that resolves to one job runs
+    /// inline on the calling thread. Outcomes come back in input order
+    /// and are byte-identical for every worker count. With `trace`, an
+    /// `execute` child span carries one `{engine}.worker-N` span per
+    /// worker, annotated with cycle and i-cache totals.
     pub fn run_batch_guarded_traced_on(
         &self,
         backend: Backend,
@@ -271,31 +196,7 @@ impl Runtime {
         budget: &Budget,
         trace: Option<&TraceSpan>,
     ) -> GuardedBatch {
-        self.run_batch_guarded_inner(backend, program, inputs, config, budget, false, trace)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch_guarded_inner(
-        &self,
-        backend: Backend,
-        program: &Program,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-        budget: &Budget,
-        cache_hit: bool,
-        trace: Option<&TraceSpan>,
-    ) -> GuardedBatch {
-        let span = self.telemetry.as_ref().map(|t| {
-            let span = t.span("runtime.guarded_batch");
-            span.annotate("inputs", inputs.len());
-            span.annotate("fuel", budget.fuel.map_or(-1i64, |f| f as i64));
-            span.annotate("backend", backend.to_string());
-            span
-        });
-        // On the host backend every worker shares one immutable lowered
-        // engine; the fuel budget becomes a byte budget through the same
-        // `max_cycles` clamp the simulator uses.
-        let host_program = (backend == Backend::Host).then(|| self.host.get_or_lower(program));
+        let engine = Engine::select(self, backend, program);
         let start = Instant::now();
         let deadline_at = budget.deadline.map(|d| start + d);
         let run_config = budget.clamp_config(config);
@@ -306,113 +207,71 @@ impl Runtime {
             span.annotate("jobs", jobs);
             span
         });
-        // (context, execute-span id) pairs worker threads parent under.
-        let worker_trace: Option<(TraceContext, u32)> =
-            exec_span.as_ref().map(|span| (span.context().clone(), span.id()));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let restarts = std::sync::atomic::AtomicU64::new(0);
-        let hook = self.run_hook.clone();
+        // (context, execute-span id) pair worker spans parent under.
+        let worker_trace = exec_span.as_ref().map(|span| (span.context(), span.id()));
+        let next = AtomicUsize::new(0);
+        let restarts = AtomicU64::new(0);
 
-        let per_worker: Vec<(Vec<(usize, MatchOutcome)>, WorkerStats)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..jobs)
-                    .map(|worker| {
-                        let next = &next;
-                        let restarts = &restarts;
-                        let run_config = run_config.clone();
-                        let hook = hook.clone();
-                        let worker_trace = worker_trace.clone();
-                        let host_program = host_program.clone();
-                        scope.spawn(move || {
-                            let engine = if host_program.is_some() { "host" } else { "sim" };
-                            let worker_span = worker_trace.as_ref().map(|(ctx, parent)| {
-                                ctx.child_of(Some(*parent), format!("{engine}.worker-{worker}"))
-                            });
-                            // Sim path only. `None` after a panic poisons
-                            // the machine; the next input respawns a
-                            // fresh one.
-                            let mut machine = host_program
-                                .is_none()
-                                .then(|| Machine::new(program, run_config.clone()));
-                            let mut out = Vec::new();
-                            let mut stats = WorkerStats { worker, ..WorkerStats::default() };
-                            loop {
-                                let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some(input) = inputs.get(index) else { break };
-                                if deadline_at.is_some_and(|at| Instant::now() >= at) {
-                                    out.push((
-                                        index,
-                                        MatchOutcome::Budget {
-                                            kind: BudgetKind::Deadline,
-                                            partial: None,
-                                        },
-                                    ));
-                                    continue;
-                                }
-                                let mut attempts = 0u32;
-                                let outcome = loop {
-                                    let result = if let Some(host) = &host_program {
-                                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                            || {
-                                                if let Some(hook) = &hook {
-                                                    hook(index);
-                                                }
-                                                host_exec_report(&host.run_budgeted(
-                                                    input,
-                                                    Some(run_config.max_cycles),
-                                                ))
-                                            },
-                                        ))
-                                    } else {
-                                        let m = machine.get_or_insert_with(|| {
-                                            Machine::new(program, run_config.clone())
-                                        });
-                                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                            || {
-                                                if let Some(hook) = &hook {
-                                                    hook(index);
-                                                }
-                                                m.prefetch_icache();
-                                                m.run(input)
-                                            },
-                                        ))
-                                    };
-                                    match result {
-                                        Ok(report) => break budget.classify(report, config),
-                                        Err(payload) => {
-                                            machine = None;
-                                            restarts
-                                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                            attempts += 1;
-                                            if attempts >= 2 {
-                                                break MatchOutcome::Fault(panic_message(
-                                                    payload.as_ref(),
-                                                ));
-                                            }
-                                        }
-                                    }
-                                };
-                                if let Some(report) = outcome.report() {
-                                    stats.absorb(report);
-                                }
-                                out.push((index, outcome));
-                            }
-                            if let Some(span) = worker_span {
-                                span.annotate("inputs", stats.inputs);
-                                span.annotate("cycles", stats.cycles);
-                                span.annotate("instructions", stats.instructions);
-                                span.annotate("icache_hits", stats.icache_hits);
-                                span.annotate("icache_misses", stats.icache_misses);
-                            }
-                            (out, stats)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("guarded worker panicked")).collect()
+        let work = |worker: usize| -> (Vec<(usize, MatchOutcome)>, WorkerStats) {
+            let worker_span = worker_trace.as_ref().map(|(ctx, parent)| {
+                ctx.child_of(Some(*parent), format!("{}.worker-{worker}", engine.name()))
             });
+            let mut runner = engine.runner(&run_config);
+            let mut out = Vec::new();
+            let mut stats = WorkerStats { worker, ..WorkerStats::default() };
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(input) = inputs.get(index) else { break };
+                if deadline_at.is_some_and(|at| Instant::now() >= at) {
+                    out.push((index, NOT_STARTED));
+                    continue;
+                }
+                let mut attempts = 0u32;
+                let outcome = loop {
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        if let Some(hook) = &self.run_hook {
+                            hook(index);
+                        }
+                        runner.run(input)
+                    }));
+                    match result {
+                        Ok(report) => break budget.classify(report, config),
+                        Err(payload) => {
+                            runner.respawn();
+                            restarts.fetch_add(1, Ordering::Relaxed);
+                            attempts += 1;
+                            if attempts >= 2 {
+                                break MatchOutcome::Fault(panic_message(payload.as_ref()));
+                            }
+                        }
+                    }
+                };
+                if let Some(report) = outcome.report() {
+                    stats.absorb(report);
+                }
+                out.push((index, outcome));
+            }
+            if let Some(span) = worker_span {
+                span.annotate("inputs", stats.inputs);
+                span.annotate("cycles", stats.cycles);
+                span.annotate("instructions", stats.instructions);
+                span.annotate("icache_hits", stats.icache_hits);
+                span.annotate("icache_misses", stats.icache_misses);
+            }
+            (out, stats)
+        };
+        let per_worker: Vec<(Vec<(usize, MatchOutcome)>, WorkerStats)> = if jobs == 1 {
+            vec![work(0)]
+        } else {
+            let work = &work;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> =
+                    (0..jobs).map(|worker| scope.spawn(move || work(worker))).collect();
+                handles.into_iter().map(|h| h.join().expect("batch worker panicked")).collect()
+            })
+        };
 
-        let mut outcomes =
-            vec![MatchOutcome::Budget { kind: BudgetKind::Deadline, partial: None }; inputs.len()];
+        let mut outcomes = vec![NOT_STARTED; inputs.len()];
         let mut workers = Vec::with_capacity(jobs);
         for (chunk, stats) in per_worker {
             for (index, outcome) in chunk {
@@ -425,25 +284,10 @@ impl Runtime {
             workers,
             jobs,
             worker_restarts: restarts.into_inner(),
-            cache_hit,
             wall: start.elapsed(),
         };
         if let Some(telemetry) = &self.telemetry {
-            telemetry.counter_add("runtime.guarded_batches", 1);
-            telemetry.counter_add("runtime.inputs", batch.outcomes.len() as u64);
-            telemetry.counter_add("runtime.matches", batch.matches() as u64);
-            telemetry.counter_add("runtime.worker_restarts", batch.worker_restarts);
-            telemetry.counter_add("runtime.budget_exceeded", batch.budget_exceeded() as u64);
-            telemetry.counter_add("runtime.faults", batch.faults() as u64);
-            for outcome in &batch.outcomes {
-                if let Some(report) = outcome.report() {
-                    report.record_into(telemetry);
-                }
-            }
-            if let Some(span) = span {
-                span.annotate("completed", batch.completed());
-                span.annotate("worker_restarts", batch.worker_restarts);
-            }
+            record_batch(telemetry, &batch);
         }
         if let Some(span) = exec_span {
             span.annotate("completed", batch.completed());
@@ -455,17 +299,44 @@ impl Runtime {
     }
 }
 
+/// Fold one batch into the collector: `runtime.*` counters and
+/// per-worker distributions, plus every run's report merged into the
+/// `sim.*` metrics (the same shape `simulate_with_telemetry` emits, so
+/// dashboards aggregate sequential and parallel traffic uniformly).
+fn record_batch(telemetry: &Telemetry, batch: &GuardedBatch) {
+    telemetry.counter_add("runtime.batches", 1);
+    telemetry.counter_add("runtime.inputs", batch.outcomes.len() as u64);
+    telemetry.counter_add("runtime.matches", batch.matches() as u64);
+    telemetry.counter_add("runtime.worker_restarts", batch.worker_restarts);
+    telemetry.counter_add("runtime.budget_exceeded", batch.budget_exceeded() as u64);
+    telemetry.counter_add("runtime.faults", batch.faults() as u64);
+    telemetry.gauge_set("runtime.jobs", batch.jobs as f64);
+    for worker in &batch.workers {
+        telemetry.counter_add("runtime.worker_runs", worker.inputs as u64);
+        telemetry.observe("runtime.worker_inputs", worker.inputs as f64);
+        telemetry.observe("runtime.worker_cycles", worker.cycles as f64);
+    }
+    for outcome in &batch.outcomes {
+        if let Some(report) = outcome.report() {
+            report.record_into(telemetry);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
-    use cicero_telemetry::Telemetry;
+    use cicero_telemetry::{Telemetry, TraceContext};
 
     use super::*;
-    use crate::RuntimeOptions;
+    use crate::{RunHook, RuntimeOptions};
 
     const PATTERN: &str = "(abcd|bcda|cdab|dabc)";
+
+    /// Many live threads at every position, so the organizations differ.
+    const HEAVY: &str = "(abcd|bcda|cdab|dabc|acbd|bdca|cadb|dbac|aabb|ccdd)";
 
     fn chunks() -> Vec<Vec<u8>> {
         let mut inputs: Vec<Vec<u8>> = (0..7).map(|i| vec![b'x'; 30 + i]).collect();
@@ -476,6 +347,59 @@ mod tests {
 
     fn runtime(jobs: usize) -> Runtime {
         Runtime::new(RuntimeOptions { jobs, ..RuntimeOptions::default() })
+    }
+
+    fn host_runtime(jobs: usize) -> Runtime {
+        let compiler = cicero_core::CompilerOptions::optimized().with_backend(Backend::Host);
+        Runtime::new(RuntimeOptions { jobs, compiler, ..RuntimeOptions::default() })
+    }
+
+    /// Compile `pattern` through the cache and run it on the runtime's
+    /// default backend.
+    fn guarded(
+        runtime: &Runtime,
+        pattern: &str,
+        inputs: &[Vec<u8>],
+        config: &ArchConfig,
+        budget: &Budget,
+    ) -> GuardedBatch {
+        let program = runtime.compile(pattern).unwrap();
+        runtime.run_batch_guarded_traced_on(
+            runtime.backend(),
+            &program,
+            inputs,
+            config,
+            budget,
+            None,
+        )
+    }
+
+    /// The sequential reference: one warm machine, inputs in order.
+    fn sequential(pattern: &str, inputs: &[Vec<u8>], config: &ArchConfig) -> Vec<ExecReport> {
+        let program = cicero_core::compile(pattern).unwrap().into_program();
+        cicero_sim::simulate_batch(&program, inputs, config)
+    }
+
+    /// The batch's reports, asserting every input completed.
+    fn reports(batch: &GuardedBatch) -> Vec<ExecReport> {
+        batch
+            .outcomes
+            .iter()
+            .map(|o| match o {
+                MatchOutcome::Complete(report) => *report,
+                other => panic!("expected a complete run, got {other:?}"),
+            })
+            .collect()
+    }
+
+    /// A run hook that panics once, on the first attempt at `index`.
+    fn panic_once_on(index: usize) -> RunHook {
+        let fired = AtomicUsize::new(0);
+        Arc::new(move |i: usize| {
+            if i == index && fired.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("injected fault on input {index}");
+            }
+        })
     }
 
     /// Suppress the default panic-to-stderr hook for a deliberately
@@ -489,63 +413,103 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_guarded_batch_equals_the_plain_path() {
-        let config = ArchConfig::new_organization(8, 1);
-        let plain = runtime(3).match_batch(PATTERN, &chunks(), &config).unwrap();
-        let guarded = runtime(3)
-            .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED)
-            .unwrap();
-        assert_eq!(guarded.outcomes.len(), plain.reports.len());
-        for (outcome, report) in guarded.outcomes.iter().zip(&plain.reports) {
-            assert_eq!(outcome, &MatchOutcome::Complete(*report));
+    fn matches_equal_the_sequential_path_for_every_job_count() {
+        let inputs: Vec<Vec<u8>> = (0..9)
+            .map(|i| if i % 3 == 0 { b"xxabcdxx".to_vec() } else { vec![b'x'; 40 + i] })
+            .collect();
+        for config in [ArchConfig::old_organization(1), ArchConfig::new_organization(8, 1)] {
+            let sequential = sequential(HEAVY, &inputs, &config);
+            for jobs in 1..=6 {
+                let batch = guarded(&runtime(jobs), HEAVY, &inputs, &config, &Budget::UNLIMITED);
+                assert_eq!(reports(&batch), sequential, "jobs={jobs} on {}", config.name());
+                assert_eq!(batch.matches(), 3);
+                assert_eq!(batch.worker_restarts, 0);
+                assert!(batch.jobs >= 1 && batch.jobs <= jobs);
+                assert_eq!(batch.workers.iter().map(|s| s.inputs).sum::<usize>(), inputs.len());
+                assert_eq!(
+                    batch.workers.iter().map(|s| s.cycles).sum::<u64>(),
+                    sequential.iter().map(|r| r.cycles).sum::<u64>()
+                );
+            }
         }
-        assert_eq!(guarded.worker_restarts, 0);
-        assert_eq!(guarded.matches(), plain.matches());
+    }
+
+    #[test]
+    fn batch_handles_degenerate_shapes() {
+        let config = ArchConfig::old_organization(1);
+        let empty = guarded(&runtime(4), "ab|cd", &[], &config, &Budget::UNLIMITED);
+        assert!(empty.outcomes.is_empty());
+        assert_eq!(empty.worker_restarts, 0);
+        let one = guarded(&runtime(8), "ab|cd", &[b"ab".to_vec()], &config, &Budget::UNLIMITED);
+        assert_eq!(one.jobs, 1);
+        assert_eq!(one.outcomes.len(), 1);
+        assert!(reports(&one)[0].accepted);
+    }
+
+    #[test]
+    fn a_single_job_batch_runs_inline_and_still_recovers_from_panics() {
+        // One job runs on the calling thread; the hook records which
+        // thread ran each attempt and panics once on input 0.
+        let config = ArchConfig::new_organization(8, 1);
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let hook = {
+            let (threads, panic) = (Arc::clone(&threads), panic_once_on(0));
+            Arc::new(move |index: usize| {
+                threads.lock().unwrap().push(std::thread::current().id());
+                panic(index);
+            })
+        };
+        let telemetry = Telemetry::new();
+        let runtime = runtime(1).with_telemetry(telemetry.clone()).with_run_hook(hook);
+        let batch = quietly(|| guarded(&runtime, PATTERN, &chunks(), &config, &Budget::UNLIMITED));
+        let caller = std::thread::current().id();
+        let threads = threads.lock().unwrap();
+        assert_eq!(threads.len(), chunks().len() + 1, "one retry on top of every input");
+        assert!(threads.iter().all(|&id| id == caller), "a one-job batch must not spawn");
+        assert_eq!(batch.jobs, 1);
+        assert_eq!(batch.worker_restarts, 1);
+        assert_eq!(reports(&batch), sequential(PATTERN, &chunks(), &config));
+        assert_eq!(telemetry.counter("runtime.worker_restarts"), 1);
     }
 
     #[test]
     fn fuel_exhaustion_is_a_clean_budget_outcome() {
-        // A scanning pattern over a long input needs well over 8 cycles;
-        // the fuel budget cuts it off with the partial report attached.
+        // A scanning pattern over a long input needs well over 8 cycles
+        // (or bytes, on the host engine); the fuel budget cuts it off with
+        // the partial report attached.
         let config = ArchConfig::old_organization(1);
         let inputs = vec![vec![b'x'; 500]];
-        let batch = runtime(1)
-            .match_batch_guarded(PATTERN, &inputs, &config, &Budget::with_fuel(8))
-            .unwrap();
-        match &batch.outcomes[0] {
-            MatchOutcome::Budget { kind: BudgetKind::Fuel, partial: Some(report) } => {
-                assert_eq!(report.cycles, 8);
-                assert!(report.hit_cycle_limit);
-                assert!(!report.accepted);
+        for runtime in [runtime(1), host_runtime(1)] {
+            let batch = guarded(&runtime, PATTERN, &inputs, &config, &Budget::with_fuel(8));
+            match &batch.outcomes[0] {
+                MatchOutcome::Budget { kind: BudgetKind::Fuel, partial: Some(report) } => {
+                    assert_eq!(report.cycles, 8, "on {}", runtime.backend());
+                    assert!(report.hit_cycle_limit);
+                    assert!(!report.accepted);
+                }
+                other => panic!("expected a fuel cut-off, got {other:?}"),
             }
-            other => panic!("expected a fuel cut-off, got {other:?}"),
+            assert_eq!(batch.budget_exceeded(), 1);
         }
-        assert_eq!(batch.budget_exceeded(), 1);
+        // On the host engine a match inside the byte budget completes.
+        let inputs = [b"abcdxxxx".to_vec()];
+        let batch = guarded(&host_runtime(1), PATTERN, &inputs, &config, &Budget::with_fuel(8));
+        assert!(matches!(&batch.outcomes[0], MatchOutcome::Complete(r) if r.accepted));
     }
 
     #[test]
     fn ample_fuel_does_not_change_results() {
         let config = ArchConfig::old_organization(1);
-        let plain = runtime(2).match_batch(PATTERN, &chunks(), &config).unwrap();
-        let guarded = runtime(2)
-            .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::with_fuel(1_000_000))
-            .unwrap();
-        for (outcome, report) in guarded.outcomes.iter().zip(&plain.reports) {
-            assert_eq!(outcome, &MatchOutcome::Complete(*report));
-        }
+        let batch =
+            guarded(&runtime(2), PATTERN, &chunks(), &config, &Budget::with_fuel(1_000_000));
+        assert_eq!(reports(&batch), sequential(PATTERN, &chunks(), &config));
     }
 
     #[test]
     fn an_expired_deadline_fails_inputs_instead_of_hanging() {
         let config = ArchConfig::old_organization(1);
-        let batch = runtime(2)
-            .match_batch_guarded(
-                PATTERN,
-                &chunks(),
-                &config,
-                &Budget::with_deadline(Duration::ZERO),
-            )
-            .unwrap();
+        let budget = Budget::with_deadline(Duration::ZERO);
+        let batch = guarded(&runtime(2), PATTERN, &chunks(), &config, &budget);
         assert_eq!(batch.outcomes.len(), chunks().len());
         assert!(
             batch
@@ -560,30 +524,21 @@ mod tests {
     #[test]
     fn a_worker_panic_is_recovered_and_the_batch_completes() {
         // The hook panics exactly once, on input 3's first attempt: the
-        // worker discards its machine, respawns, retries, and every input
-        // still completes with a report identical to the plain path.
+        // worker discards its engine state, respawns, retries, and every
+        // input still completes with the panic-free report, on both
+        // backends.
         let config = ArchConfig::new_organization(8, 1);
-        let plain = runtime(2).match_batch(PATTERN, &chunks(), &config).unwrap();
-        let fired = Arc::new(AtomicUsize::new(0));
-        let hook = {
-            let fired = Arc::clone(&fired);
-            Arc::new(move |index: usize| {
-                if index == 3 && fired.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("injected fault on input 3");
-                }
-            })
-        };
-        let telemetry = Telemetry::new();
-        let runtime = runtime(2).with_telemetry(telemetry.clone()).with_run_hook(hook);
-        let batch = quietly(|| {
-            runtime.match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED).unwrap()
-        });
-        assert!(batch.worker_restarts >= 1);
-        assert_eq!(batch.completed(), chunks().len(), "{:?}", batch.outcomes);
-        for (outcome, report) in batch.outcomes.iter().zip(&plain.reports) {
-            assert_eq!(outcome, &MatchOutcome::Complete(*report));
+        for make in [runtime, host_runtime] {
+            let clean = guarded(&make(2), PATTERN, &chunks(), &config, &Budget::UNLIMITED);
+            let telemetry = Telemetry::new();
+            let runtime = make(2).with_telemetry(telemetry.clone()).with_run_hook(panic_once_on(3));
+            let batch =
+                quietly(|| guarded(&runtime, PATTERN, &chunks(), &config, &Budget::UNLIMITED));
+            assert!(batch.worker_restarts >= 1);
+            assert_eq!(batch.completed(), chunks().len(), "{:?}", batch.outcomes);
+            assert_eq!(batch.outcomes, clean.outcomes, "on {}", runtime.backend());
+            assert!(telemetry.counter("runtime.worker_restarts") >= 1);
         }
-        assert!(telemetry.counter("runtime.worker_restarts") >= 1);
     }
 
     #[test]
@@ -597,9 +552,7 @@ mod tests {
             }
         });
         let runtime = runtime(2).with_run_hook(hook);
-        let batch = quietly(|| {
-            runtime.match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED).unwrap()
-        });
+        let batch = quietly(|| guarded(&runtime, PATTERN, &chunks(), &config, &Budget::UNLIMITED));
         assert_eq!(batch.faults(), 1);
         assert!(matches!(&batch.outcomes[3], MatchOutcome::Fault(m) if m.contains("input 3")));
         assert_eq!(batch.completed(), chunks().len() - 1);
@@ -607,20 +560,8 @@ mod tests {
     }
 
     #[test]
-    fn worker_stats_cover_completed_work() {
-        let config = ArchConfig::old_organization(1);
-        let batch = runtime(3)
-            .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED)
-            .unwrap();
-        assert_eq!(batch.workers.iter().map(|w| w.inputs).sum::<usize>(), chunks().len());
-        let outcome_cycles: u64 =
-            batch.outcomes.iter().filter_map(|o| o.report().map(|r| r.cycles)).sum();
-        assert_eq!(batch.workers.iter().map(|w| w.cycles).sum::<u64>(), outcome_cycles);
-    }
-
-    #[test]
     fn a_set_scan_survives_a_worker_panic_with_correct_per_pattern_counts() {
-        // A multi-pattern set on the guarded pool: one injected panic on
+        // A multi-pattern set on the executor: one injected panic on
         // chunk 2's first attempt exercises the respawn path, and the
         // exhaustive per-pattern counts (run_all over every completed
         // chunk) still equal the panic-free run.
@@ -642,24 +583,23 @@ mod tests {
             counts
         };
 
-        let plain = runtime_plain.run_batch_guarded(&program, &chunks, &config, &Budget::UNLIMITED);
+        let run = |runtime: &Runtime| {
+            runtime.run_batch_guarded_traced_on(
+                runtime.backend(),
+                &program,
+                &chunks,
+                &config,
+                &Budget::UNLIMITED,
+                None,
+            )
+        };
+        let plain = run(&runtime_plain);
         assert_eq!(plain.completed(), chunks.len());
         let expected = count_per_pattern(&plain.outcomes, &chunks);
         assert_eq!(expected, vec![1, 1, 0], "chunk fixtures drifted");
 
-        let fired = Arc::new(AtomicUsize::new(0));
-        let hook = {
-            let fired = Arc::clone(&fired);
-            Arc::new(move |index: usize| {
-                if index == 2 && fired.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("injected fault on chunk 2");
-                }
-            })
-        };
-        let guarded_runtime = runtime(3).with_run_hook(hook);
-        let batch = quietly(|| {
-            guarded_runtime.run_batch_guarded(&program, &chunks, &config, &Budget::UNLIMITED)
-        });
+        let guarded_runtime = runtime(3).with_run_hook(panic_once_on(2));
+        let batch = quietly(|| run(&guarded_runtime));
         assert!(batch.worker_restarts >= 1, "the injected panic must recycle a worker");
         assert_eq!(batch.completed(), chunks.len(), "{:?}", batch.outcomes);
         assert_eq!(count_per_pattern(&batch.outcomes, &chunks), expected);
@@ -667,19 +607,21 @@ mod tests {
 
     #[test]
     fn traced_guarded_batch_yields_a_connected_span_tree() {
-        use cicero_telemetry::TraceContext;
         let config = ArchConfig::new_organization(8, 1);
-        let ctx = TraceContext::new("trace-batch");
-        let root = ctx.root_span("request");
-        let batch = runtime(3)
-            .match_batch_guarded_traced(
-                PATTERN,
+        let traced = |runtime: &Runtime, root: &TraceSpan| {
+            let (program, _) = runtime.compile_traced(PATTERN, Some(root)).unwrap();
+            runtime.run_batch_guarded_traced_on(
+                runtime.backend(),
+                &program,
                 &chunks(),
                 &config,
                 &Budget::UNLIMITED,
-                Some(&root),
+                Some(root),
             )
-            .unwrap();
+        };
+        let ctx = TraceContext::new("trace-batch");
+        let root = ctx.root_span("request");
+        let batch = traced(&runtime(3), &root);
         drop(root);
         let trace = ctx.finish();
 
@@ -715,24 +657,8 @@ mod tests {
         let ctx2 = TraceContext::new("trace-batch-2");
         let runtime2 = runtime(2);
         let root2 = ctx2.root_span("request");
-        runtime2
-            .match_batch_guarded_traced(
-                PATTERN,
-                &chunks(),
-                &config,
-                &Budget::UNLIMITED,
-                Some(&root2),
-            )
-            .unwrap();
-        runtime2
-            .match_batch_guarded_traced(
-                PATTERN,
-                &chunks(),
-                &config,
-                &Budget::UNLIMITED,
-                Some(&root2),
-            )
-            .unwrap();
+        traced(&runtime2, &root2);
+        traced(&runtime2, &root2);
         drop(root2);
         let trace2 = ctx2.finish();
         let compiles: Vec<_> = trace2.spans.iter().filter(|s| s.name == "compile").collect();
@@ -740,20 +666,11 @@ mod tests {
         assert!(compiles[1].attrs.iter().any(|(k, v)| k == "cache_hit" && v.to_string() == "true"));
     }
 
-    fn host_runtime(jobs: usize) -> Runtime {
-        let compiler = cicero_core::CompilerOptions::optimized().with_backend(Backend::Host);
-        Runtime::new(RuntimeOptions { jobs, compiler, ..RuntimeOptions::default() })
-    }
-
     #[test]
     fn host_backend_agrees_with_sim_verdicts_and_positions() {
         let config = ArchConfig::new_organization(8, 1);
-        let sim = runtime(2)
-            .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED)
-            .unwrap();
-        let host = host_runtime(2)
-            .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED)
-            .unwrap();
+        let sim = guarded(&runtime(2), PATTERN, &chunks(), &config, &Budget::UNLIMITED);
+        let host = guarded(&host_runtime(2), PATTERN, &chunks(), &config, &Budget::UNLIMITED);
         assert_eq!(host.outcomes.len(), sim.outcomes.len());
         for (h, s) in host.outcomes.iter().zip(&sim.outcomes) {
             let (h, s) = (h.report().unwrap(), s.report().unwrap());
@@ -764,83 +681,29 @@ mod tests {
     }
 
     #[test]
-    fn host_fuel_is_a_byte_budget() {
-        // 500 non-matching bytes under 8 bytes of fuel: the host engine
-        // stops after 8 bytes and reports a clean fuel cut-off, exactly
-        // like the sim path's 8-cycle cut-off.
-        let config = ArchConfig::old_organization(1);
-        let inputs = vec![vec![b'x'; 500]];
-        let batch = host_runtime(1)
-            .match_batch_guarded(PATTERN, &inputs, &config, &Budget::with_fuel(8))
-            .unwrap();
-        match &batch.outcomes[0] {
-            MatchOutcome::Budget { kind: BudgetKind::Fuel, partial: Some(report) } => {
-                assert_eq!(report.cycles, 8, "host cycles mean bytes examined");
-                assert!(report.hit_cycle_limit);
-                assert!(!report.accepted);
-            }
-            other => panic!("expected a fuel cut-off, got {other:?}"),
-        }
-        // A match inside the budget completes despite tight fuel.
-        let batch = host_runtime(1)
-            .match_batch_guarded(PATTERN, &[b"abcdxxxx".to_vec()], &config, &Budget::with_fuel(8))
-            .unwrap();
-        assert!(matches!(&batch.outcomes[0], MatchOutcome::Complete(r) if r.accepted));
-    }
-
-    #[test]
     fn explicit_backend_overrides_the_runtime_default() {
         // A sim-default runtime can serve a host request and vice versa,
         // with identical verdicts from the shared program cache entry.
         let config = ArchConfig::old_organization(1);
         let sim_runtime = runtime(1);
-        let via_host = sim_runtime
-            .match_batch_guarded_traced_on(
-                Backend::Host,
-                PATTERN,
+        let run_on = |backend: Backend| {
+            let (program, cache_hit) = sim_runtime.compile_traced(PATTERN, None).unwrap();
+            let batch = sim_runtime.run_batch_guarded_traced_on(
+                backend,
+                &program,
                 &chunks(),
                 &config,
                 &Budget::UNLIMITED,
                 None,
-            )
-            .unwrap();
-        assert_eq!(via_host.matches(), 2);
-        // Second call on the other backend hits the same cache entry.
-        let via_sim = sim_runtime
-            .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED)
-            .unwrap();
-        assert!(via_sim.cache_hit, "backends must share one program cache entry");
-        assert_eq!(via_sim.matches(), 2);
-    }
-
-    #[test]
-    fn host_worker_panic_isolation_still_works() {
-        // The injected hook panic exercises the host path's catch_unwind:
-        // one retry succeeds and the batch completes.
-        let config = ArchConfig::old_organization(1);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let hook = {
-            let fired = Arc::clone(&fired);
-            Arc::new(move |index: usize| {
-                if index == 3 && fired.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("injected fault on input 3");
-                }
-            })
+            );
+            (batch, cache_hit)
         };
-        let runtime = host_runtime(2).with_run_hook(hook);
-        let batch = quietly(|| {
-            runtime.match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED).unwrap()
-        });
-        assert!(batch.worker_restarts >= 1);
-        assert_eq!(batch.completed(), chunks().len(), "{:?}", batch.outcomes);
-    }
-
-    #[test]
-    fn guarded_batch_handles_empty_input_sets() {
-        let config = ArchConfig::old_organization(1);
-        let batch =
-            runtime(4).match_batch_guarded(PATTERN, &[], &config, &Budget::UNLIMITED).unwrap();
-        assert!(batch.outcomes.is_empty());
-        assert_eq!(batch.worker_restarts, 0);
+        let (via_host, _) = run_on(Backend::Host);
+        assert_eq!(via_host.matches(), 2);
+        assert!(via_host.workers.iter().all(|w| w.icache_hits == 0), "ran on the host engine");
+        // Second request on the other backend hits the same cache entry.
+        let (via_sim, cache_hit) = run_on(Backend::Sim);
+        assert!(cache_hit, "backends must share one program cache entry");
+        assert_eq!(via_sim.matches(), 2);
     }
 }

@@ -2,46 +2,69 @@
 //!
 //! The paper's architecture wins by *parallel enumeration* — many cores
 //! chewing through thread queues concurrently (§4). This crate is the
-//! host-side analogue for serving many inputs: a fixed pool of workers,
-//! each owning its own [`Machine`](cicero_sim::Machine) (so its
-//! instruction caches stay warm across the inputs it serves, mirroring the
-//! hardware rule that reprogramming flushes the caches while streaming new
-//! data does not), pulling input chunks from a shared work queue and
-//! merging per-worker [`ExecReport`]s deterministically — the merged
-//! reports are byte-identical for every worker count.
+//! host-side analogue for serving many inputs. It has one entry point per
+//! request shape, and both run on either backend:
 //!
-//! In front of the pool sits an LRU [`ProgramCache`] keyed by
-//! `(pattern, CompilerOptions)`: repeated patterns — the common case for
-//! serving traffic, where the same rule set scans every packet — skip the
-//! whole multi-dialect pass pipeline and go straight to execution. This is
+//! * [`Runtime::run_batch_guarded_traced_on`] — a batch of inputs spread
+//!   over scoped worker threads that pull input indices from a shared
+//!   counter (inline on the calling thread when the batch resolves to one
+//!   job). On the simulator each worker owns its own
+//!   [`Machine`](cicero_sim::Machine), refreshed from the resident program
+//!   image before every input, so the merged per-input outcomes are
+//!   byte-identical for every worker count. Every batch runs under a
+//!   [`Budget`] with per-input panic isolation.
+//! * [`Runtime::scan_stream_traced_on`] — one input read chunk by chunk
+//!   through a bounded queue into a resumable matcher.
+//!
+//! The choice between the simulator and the host-native engine is made
+//! in one private module; the executor and the session loop are written
+//! once.
+//!
+//! In front sits an LRU [`ProgramCache`] keyed by `(pattern,
+//! CompilerOptions)`: repeated patterns — the common case for serving
+//! traffic, where the same rule set scans every packet — skip the whole
+//! multi-dialect pass pipeline and go straight to execution. This is
 //! MLIR's own argument applied to serving: the compiler layers produce
-//! reusable, cached artifacts that feed a parallel execution substrate,
-//! rather than being re-run per request.
+//! reusable, cached artifacts that feed one execution substrate, rather
+//! than being re-run per request.
 //!
 //! # Example
 //!
 //! ```
-//! use cicero_runtime::{Runtime, RuntimeOptions};
-//! use cicero_sim::ArchConfig;
+//! use cicero_runtime::{Budget, MatchOutcome, Runtime, RuntimeOptions};
+//! use cicero_sim::{simulate_batch, ArchConfig};
 //!
 //! let runtime = Runtime::new(RuntimeOptions { jobs: 2, ..RuntimeOptions::default() });
+//! let config = ArchConfig::new_organization(8, 1);
 //! let chunks = vec![b"xxabyy".to_vec(), b"nothing".to_vec(), b"ab".to_vec()];
-//! let batch = runtime.match_batch("ab|cd", &chunks, &ArchConfig::new_organization(8, 1))?;
+//! let (program, cache_hit) = runtime.compile_traced("ab|cd", None)?;
+//! assert!(!cache_hit);
+//! let batch = runtime.run_batch_guarded_traced_on(
+//!     runtime.backend(),
+//!     &program,
+//!     &chunks,
+//!     &config,
+//!     &Budget::UNLIMITED,
+//!     None,
+//! );
 //! assert_eq!(batch.matches(), 2);
-//! assert!(!batch.cache_hit);
-//! let again = runtime.match_batch("ab|cd", &chunks, &ArchConfig::new_organization(8, 1))?;
-//! assert!(again.cache_hit, "second request skips the pass pipeline");
-//! assert_eq!(again.reports, batch.reports, "reports are deterministic");
+//! // Outcomes equal the sequential simulator, whatever the worker count.
+//! let sequential = simulate_batch(&program, &chunks, &config);
+//! for (outcome, report) in batch.outcomes.iter().zip(sequential) {
+//!     assert_eq!(outcome, &MatchOutcome::Complete(report));
+//! }
+//! let (_, cache_hit) = runtime.compile_traced("ab|cd", None)?;
+//! assert!(cache_hit, "the second request skips the pass pipeline");
 //! # Ok::<(), cicero_core::CompileError>(())
 //! ```
 
 mod budget;
 mod cache;
+mod engine;
 mod handle;
 mod stream;
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 pub use budget::{Budget, BudgetKind, GuardedBatch, MatchOutcome};
 pub use cache::{CacheKey, CacheStats, ProgramCache, DEFAULT_SHARDS};
@@ -53,28 +76,7 @@ pub use stream::{StreamError, StreamOptions, StreamReport};
 
 use cicero_core::{Backend, CompileError, Compiler, CompilerOptions, PipelineReport};
 use cicero_isa::Program;
-use cicero_sim::{simulate_batch_parallel_stats, ArchConfig, ExecReport, WorkerStats};
 use cicero_telemetry::{Telemetry, TraceSpan, Value};
-
-/// Synthesize an [`ExecReport`] from a host-engine run so the host
-/// backend flows through the same budget classification, batch
-/// accounting, and serving plumbing as the simulator. The convention:
-/// `cycles` and `instructions` both mean *input bytes examined* (one
-/// byte per step is exactly what the engine does), the i-cache and stall
-/// counters stay zero (no microarchitectural model), and
-/// `hit_cycle_limit` means the byte budget tripped — so fuel on the host
-/// backend is a byte budget.
-pub(crate) fn host_exec_report(run: &HostRun) -> ExecReport {
-    ExecReport {
-        cycles: run.scanned,
-        accepted: run.outcome.accepted,
-        match_position: run.outcome.match_position,
-        matched_id: run.outcome.matched_id,
-        instructions: run.scanned,
-        hit_cycle_limit: run.hit_byte_limit,
-        ..ExecReport::default()
-    }
-}
 
 /// Bounded memoization of host-engine lowerings, keyed by the program
 /// itself. Lowering runs outside the lock (a racing duplicate is merely
@@ -111,7 +113,7 @@ impl HostCache {
 /// Backfill per-pass compile timings under `span` as synthetic child
 /// spans, laid out end-to-end from the span's start (the pass manager
 /// ran them sequentially, so the cumulative layout is faithful).
-pub(crate) fn record_pass_spans(span: &TraceSpan, report: &PipelineReport) {
+fn record_pass_spans(span: &TraceSpan, report: &PipelineReport) {
     let mut offset = span.start_offset();
     for pass in &report.passes {
         span.context().record_complete(
@@ -131,7 +133,7 @@ pub(crate) fn record_pass_spans(span: &TraceSpan, report: &PipelineReport) {
 /// Construction-time knobs for a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeOptions {
-    /// Worker threads in the pool; `0` resolves to the host's available
+    /// Worker threads per batch; `0` resolves to the host's available
     /// parallelism.
     pub jobs: usize,
     /// Maximum entries in the compiled-program cache.
@@ -160,51 +162,14 @@ impl Default for RuntimeOptions {
     }
 }
 
-/// The result of one batch served by the runtime.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchReport {
-    /// One report per input, in input order — byte-identical to the
-    /// sequential [`simulate_batch`](cicero_sim::simulate_batch) path for
-    /// every worker count.
-    pub reports: Vec<ExecReport>,
-    /// All reports [`accumulate`](ExecReport::accumulate)d together.
-    pub aggregate: ExecReport,
-    /// Per-worker accounting, in worker order.
-    pub workers: Vec<WorkerStats>,
-    /// Worker threads the batch actually used.
-    pub jobs: usize,
-    /// Whether the program came out of the cache (no compilation).
-    pub cache_hit: bool,
-    /// Host wall-clock time spent executing the batch (excluding
-    /// compilation).
-    pub wall: Duration,
-}
-
-impl BatchReport {
-    /// Number of inputs that matched.
-    pub fn matches(&self) -> usize {
-        self.reports.iter().filter(|r| r.accepted).count()
-    }
-
-    /// Total input bytes per host wall-clock second (0 when the batch
-    /// finished faster than the clock resolution).
-    pub fn throughput_bytes_per_sec(&self, total_bytes: usize) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            total_bytes as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// A pre-run hook invoked with each input index on the worker thread
-/// about to simulate it (guarded path only). Exists so tests can inject
+/// about to run it. Exists so tests can inject
 /// deterministic faults — a panicking hook exercises the worker
 /// panic-isolation path.
 pub type RunHook = Arc<dyn Fn(usize) + Send + Sync>;
 
-/// A batch-matching runtime: worker pool + compiled-program cache.
+/// A batch-matching runtime: batch executor, streaming sessions and
+/// compiled-program cache.
 ///
 /// Cheap to share behind an [`Arc`]; all interior state (the cache) is
 /// thread-safe, and batches from concurrent front-end threads interleave
@@ -266,7 +231,7 @@ impl Runtime {
         self
     }
 
-    /// Install a pre-run hook for the guarded batch path (see [`RunHook`]).
+    /// Install a pre-run hook for the batch executor (see [`RunHook`]).
     #[must_use]
     pub fn with_run_hook(mut self, hook: RunHook) -> Runtime {
         self.run_hook = Some(hook);
@@ -307,11 +272,7 @@ impl Runtime {
     ///
     /// See [`CompileError`]; failures are not cached.
     pub fn compile(&self, pattern: &str) -> Result<Arc<Program>, CompileError> {
-        Ok(self.compile_tracked(pattern)?.0)
-    }
-
-    fn compile_tracked(&self, pattern: &str) -> Result<(Arc<Program>, bool), CompileError> {
-        self.compile_traced(pattern, None)
+        Ok(self.compile_traced(pattern, None)?.0)
     }
 
     /// Compile `pattern` through the cache, attaching a `compile` child
@@ -325,30 +286,12 @@ impl Runtime {
         pattern: &str,
         trace: Option<&TraceSpan>,
     ) -> Result<(Arc<Program>, bool), CompileError> {
-        let span = trace.map(|parent| parent.child("compile"));
-        let mut report: Option<PipelineReport> = None;
-        // Compilation is backend-agnostic, so the backend is normalized
-        // out of the key: sim and host requests share one cache entry.
-        let key = CacheKey::pattern(pattern, self.options.compiler.with_backend(Backend::Sim));
-        let result: Result<(Arc<Program>, bool), CompileError> =
-            self.cache.get_or_insert_with(key, || {
-                let compiled = Compiler::with_options(self.options.compiler).compile(pattern)?;
-                if span.is_some() {
-                    report = Some(compiled.pass_report().clone());
-                }
-                Ok(compiled.into_program())
-            });
-        self.note_lookup(&result);
-        if let Some(span) = &span {
-            if let Ok((_, hit)) = &result {
-                span.annotate("cache_hit", *hit);
-            }
-            if let Some(report) = &report {
-                span.annotate("passes", report.passes.len());
-                record_pass_spans(span, report);
-            }
-        }
-        result
+        let key = CacheKey::pattern(pattern, self.cache_options());
+        self.compile_cached(key, trace.map(|parent| parent.child("compile")), |traced| {
+            let compiled = Compiler::with_options(self.options.compiler).compile(pattern)?;
+            let report = traced.then(|| compiled.pass_report().clone());
+            Ok((compiled.into_program(), report))
+        })
     }
 
     /// Compile a multi-matching set through the cache (see
@@ -379,17 +322,38 @@ impl Runtime {
             span.annotate("patterns", patterns.len());
             span
         });
-        let mut report: Option<PipelineReport> = None;
-        let key = CacheKey::set(patterns, self.options.compiler.with_backend(Backend::Sim));
-        let result: Result<(Arc<Program>, bool), CompileError> =
-            self.cache.get_or_insert_with(key, || {
-                let set = Compiler::with_options(self.options.compiler).compile_set(patterns)?;
-                if span.is_some() {
-                    report = Some(set.pass_report().clone());
-                }
-                Ok(set.program().clone())
-            });
-        self.note_lookup(&result);
+        let key = CacheKey::set(patterns, self.cache_options());
+        self.compile_cached(key, span, |traced| {
+            let set = Compiler::with_options(self.options.compiler).compile_set(patterns)?;
+            Ok((set.program().clone(), traced.then(|| set.pass_report().clone())))
+        })
+    }
+
+    /// Compilation is backend-agnostic, so the backend is normalized out
+    /// of every cache key: sim and host requests share one entry.
+    fn cache_options(&self) -> CompilerOptions {
+        self.options.compiler.with_backend(Backend::Sim)
+    }
+
+    /// Look `key` up in the cache, running `compile` on a miss (asking for
+    /// its pass report when `span` is set). Counts the lookup and fills
+    /// `span` with the hit flag and, on a miss, per-pass children.
+    fn compile_cached(
+        &self,
+        key: CacheKey,
+        span: Option<TraceSpan>,
+        compile: impl FnOnce(bool) -> Result<(Program, Option<PipelineReport>), CompileError>,
+    ) -> Result<(Arc<Program>, bool), CompileError> {
+        let mut report = None;
+        let result = self.cache.get_or_insert_with(key, || {
+            let (program, pass_report) = compile(span.is_some())?;
+            report = pass_report;
+            Ok(program)
+        });
+        if let (Some(telemetry), Ok((_, hit))) = (&self.telemetry, &result) {
+            let name = if *hit { "runtime.cache_hits" } else { "runtime.cache_misses" };
+            telemetry.counter_add(name, 1);
+        }
         if let Some(span) = &span {
             if let Ok((_, hit)) = &result {
                 span.annotate("cache_hit", *hit);
@@ -401,98 +365,12 @@ impl Runtime {
         }
         result
     }
-
-    fn note_lookup<E>(&self, result: &Result<(Arc<Program>, bool), E>) {
-        if let (Some(telemetry), Ok((_, hit))) = (&self.telemetry, result) {
-            let name = if *hit { "runtime.cache_hits" } else { "runtime.cache_misses" };
-            telemetry.counter_add(name, 1);
-        }
-    }
-
-    /// Compile `pattern` (through the cache) and run it over every input
-    /// on the worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Compilation errors only; execution itself cannot fail.
-    pub fn match_batch(
-        &self,
-        pattern: &str,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-    ) -> Result<BatchReport, CompileError> {
-        let (program, cache_hit) = self.compile_tracked(pattern)?;
-        Ok(self.run_batch_inner(&program, inputs, config, cache_hit))
-    }
-
-    /// Run an already-compiled program over every input on the worker
-    /// pool (`cache_hit` is reported as `false`).
-    pub fn run_batch(
-        &self,
-        program: &Program,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-    ) -> BatchReport {
-        self.run_batch_inner(program, inputs, config, false)
-    }
-
-    fn run_batch_inner(
-        &self,
-        program: &Program,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-        cache_hit: bool,
-    ) -> BatchReport {
-        let span = self.telemetry.as_ref().map(|t| {
-            let span = t.span("runtime.batch");
-            span.annotate("inputs", inputs.len());
-            span.annotate("jobs", self.jobs.min(inputs.len().max(1)));
-            span.annotate("cache_hit", cache_hit);
-            span
-        });
-        let start = Instant::now();
-        let (reports, workers) = simulate_batch_parallel_stats(program, inputs, config, self.jobs);
-        let wall = start.elapsed();
-        let mut aggregate = ExecReport::default();
-        for report in &reports {
-            aggregate.accumulate(report);
-        }
-        let batch =
-            BatchReport { jobs: workers.len(), aggregate, workers, reports, cache_hit, wall };
-        if let Some(telemetry) = &self.telemetry {
-            self.record_batch(telemetry, &batch);
-            if let Some(span) = span {
-                span.annotate("matches", batch.matches());
-                span.annotate("cycles", batch.aggregate.cycles);
-            }
-        }
-        batch
-    }
-
-    /// Fold one batch into the collector: `runtime.*` counters and
-    /// per-worker distributions, plus every run's report merged into the
-    /// `sim.*` metrics (the same shape `simulate_with_telemetry` emits, so
-    /// dashboards aggregate sequential and parallel traffic uniformly).
-    fn record_batch(&self, telemetry: &Telemetry, batch: &BatchReport) {
-        telemetry.counter_add("runtime.batches", 1);
-        telemetry.counter_add("runtime.inputs", batch.reports.len() as u64);
-        telemetry.counter_add("runtime.matches", batch.matches() as u64);
-        telemetry.gauge_set("runtime.jobs", self.jobs as f64);
-        for worker in &batch.workers {
-            telemetry.counter_add("runtime.worker_runs", worker.inputs as u64);
-            telemetry.observe("runtime.worker_inputs", worker.inputs as f64);
-            telemetry.observe("runtime.worker_cycles", worker.cycles as f64);
-        }
-        for report in &batch.reports {
-            report.record_into(telemetry);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cicero_sim::simulate_batch;
+    use cicero_sim::ArchConfig;
 
     fn chunks() -> Vec<Vec<u8>> {
         let mut inputs: Vec<Vec<u8>> = (0..7).map(|i| vec![b'x'; 30 + i]).collect();
@@ -507,27 +385,30 @@ mod tests {
         Runtime::new(RuntimeOptions { jobs, ..RuntimeOptions::default() })
     }
 
-    #[test]
-    fn matches_equal_the_sequential_path_for_every_job_count() {
-        let config = ArchConfig::new_organization(8, 1);
-        let program = cicero_core::compile(PATTERN).unwrap().into_program();
-        let sequential = simulate_batch(&program, &chunks(), &config);
-        for jobs in 1..=5 {
-            let batch = runtime(jobs).match_batch(PATTERN, &chunks(), &config).unwrap();
-            assert_eq!(batch.reports, sequential, "jobs={jobs}");
-            assert_eq!(batch.matches(), 2);
-        }
+    /// Compile [`PATTERN`] through the cache and run it over `chunks()`.
+    fn serve(runtime: &Runtime, config: &ArchConfig) -> (GuardedBatch, bool) {
+        let (program, hit) = runtime.compile_traced(PATTERN, None).unwrap();
+        let budget = Budget::UNLIMITED;
+        let batch = runtime.run_batch_guarded_traced_on(
+            Backend::Sim,
+            &program,
+            &chunks(),
+            config,
+            &budget,
+            None,
+        );
+        (batch, hit)
     }
 
     #[test]
     fn cache_serves_repeated_patterns() {
         let runtime = runtime(2);
         let config = ArchConfig::old_organization(1);
-        let first = runtime.match_batch(PATTERN, &chunks(), &config).unwrap();
-        assert!(!first.cache_hit);
-        let second = runtime.match_batch(PATTERN, &chunks(), &config).unwrap();
-        assert!(second.cache_hit);
-        assert_eq!(first.reports, second.reports);
+        let (first, hit) = serve(&runtime, &config);
+        assert!(!hit);
+        let (second, hit) = serve(&runtime, &config);
+        assert!(hit);
+        assert_eq!(first.outcomes, second.outcomes);
         let stats = runtime.cache().stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
@@ -563,22 +444,12 @@ mod tests {
     }
 
     #[test]
-    fn worker_accounting_covers_every_input() {
-        let batch = runtime(3)
-            .match_batch(PATTERN, &chunks(), &ArchConfig::new_organization(8, 1))
-            .unwrap();
-        assert_eq!(batch.workers.iter().map(|w| w.inputs).sum::<usize>(), chunks().len());
-        assert_eq!(batch.workers.iter().map(|w| w.cycles).sum::<u64>(), batch.aggregate.cycles);
-        assert!(batch.jobs >= 1 && batch.jobs <= 3);
-    }
-
-    #[test]
     fn telemetry_merges_runtime_and_sim_metrics() {
         let telemetry = Telemetry::new();
         let runtime = runtime(2).with_telemetry(telemetry.clone());
         let config = ArchConfig::old_organization(1);
-        runtime.match_batch(PATTERN, &chunks(), &config).unwrap();
-        runtime.match_batch(PATTERN, &chunks(), &config).unwrap();
+        serve(&runtime, &config);
+        serve(&runtime, &config);
         assert_eq!(telemetry.counter("runtime.batches"), 2);
         assert_eq!(telemetry.counter("runtime.inputs"), 14);
         assert_eq!(telemetry.counter("runtime.cache_hits"), 1);
@@ -588,8 +459,6 @@ mod tests {
         assert_eq!(telemetry.counter("sim.runs"), 14);
         assert_eq!(telemetry.histogram("sim.cycles").unwrap().count, 14);
         assert!(telemetry.histogram("runtime.worker_cycles").unwrap().count >= 2);
-        let spans = telemetry.spans();
-        assert_eq!(spans.iter().filter(|s| s.name == "runtime.batch").count(), 2);
     }
 
     #[test]

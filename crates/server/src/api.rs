@@ -252,9 +252,10 @@ fn finish_with_budget(
     }
 }
 
-/// `POST /match`: each pattern is matched independently over the whole
-/// input through the runtime's guarded path (cache, budgets, panic
-/// isolation). Body: `{"patterns": [...], "input": "...", "config"?: "NxM"}`.
+/// `POST /match`: each pattern is compiled through the runtime's cache
+/// and matched independently over the whole input on its batch executor
+/// (budgets, panic isolation). Body:
+/// `{"patterns": [...], "input": "...", "config"?: "NxM"}`.
 fn handle_match(shared: &Shared, request: &Request, root: &TraceSpan) -> Response {
     let budget = match budget_from_headers(request) {
         Ok(budget) => budget,
@@ -273,17 +274,18 @@ fn handle_match(shared: &Shared, request: &Request, root: &TraceSpan) -> Respons
     let mut budget_kind = None;
     let mut faults = 0usize;
     for pattern in &body.patterns {
-        let batch = match shared.runtime.match_batch_guarded_traced_on(
+        let (program, cache_hit) = match shared.runtime.compile_traced(pattern, Some(root)) {
+            Ok(compiled) => compiled,
+            Err(e) => return error_response(400, &format!("pattern {pattern:?}: {e}")),
+        };
+        let batch = shared.runtime.run_batch_guarded_traced_on(
             backend,
-            pattern,
+            &program,
             &inputs,
             &body.config,
             &budget,
             Some(root),
-        ) {
-            Ok(batch) => batch,
-            Err(e) => return error_response(400, &format!("pattern {pattern:?}: {e}")),
-        };
+        );
         let outcome = &batch.outcomes[0];
         let mut row = JsonObject::new().field("pattern", pattern.as_str());
         match outcome {
@@ -314,7 +316,7 @@ fn handle_match(shared: &Shared, request: &Request, root: &TraceSpan) -> Respons
                     .field("fault", message.as_str());
             }
         }
-        rows.push(row.field("cache_hit", batch.cache_hit).finish());
+        rows.push(row.field("cache_hit", cache_hit).finish());
     }
     let object = JsonObject::new()
         .field("input_bytes", body.input.len() as u64)
@@ -388,8 +390,8 @@ fn resolve_scan_source(
 }
 
 /// `POST /scan`: the patterns compile as one multi-matching set (through
-/// the LRU cache), the input is scanned in 500-byte chunks on the worker
-/// pool, and per-pattern chunk counts come from an all-matches pass
+/// the LRU cache), the input is scanned in 500-byte chunks on the batch
+/// executor, and per-pattern chunk counts come from an all-matches pass
 /// (host engine `run_all`, or [`cicero_isa::run_all`] under
 /// `X-Cicero-Backend: sim`) so overlapping set members are all
 /// reported — the same accounting as `cicero scan --jobs N`. With
@@ -504,14 +506,15 @@ fn handle_scan(shared: &Shared, request: &Request, root: &TraceSpan) -> Response
 
 /// `POST /scan/stream?ruleset={id}`: the raw request body — sent with
 /// `Transfer-Encoding: chunked` or a plain `Content-Length` — streams
-/// through [`Runtime::scan_stream`] against the pinned ruleset version.
+/// through [`Runtime::scan_stream_traced_on`] against the pinned ruleset
+/// version.
 /// The verdict is chunk-split invariant end to end: neither the HTTP
 /// chunk boundaries (reassembled by the framing layer) nor the engine's
 /// own chunking (`X-Cicero-Chunk-Size`, default 64 KiB) can change any
 /// byte of the response, which is why the response carries no
 /// wall-clock or buffering fields.
 ///
-/// [`Runtime::scan_stream`]: cicero_runtime::Runtime::scan_stream
+/// [`Runtime::scan_stream_traced_on`]: cicero_runtime::Runtime::scan_stream_traced_on
 fn handle_scan_stream(shared: &Shared, request: &Request, root: &TraceSpan) -> Response {
     let budget = match budget_from_headers(request) {
         Ok(budget) => budget,

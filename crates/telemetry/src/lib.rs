@@ -37,9 +37,9 @@
 //! * `compile.*` — compiler pass pipeline (spans per stage/pass);
 //! * `sim.*` — one fold per simulated run: cycles, instructions, icache
 //!   hit rate, stalls, verdicts;
-//! * `runtime.*` — batch serving: batches, inputs, cache hits/misses,
-//!   per-worker distributions, `worker_restarts` (panic recoveries) and
-//!   `budget_exceeded` on the guarded path;
+//! * `runtime.*` — batch serving: batches, inputs, matches, cache
+//!   hits/misses, per-worker distributions, `worker_restarts` (panic
+//!   recoveries), `budget_exceeded` and `faults`;
 //! * `stream.*` — streaming scan sessions: `sessions`, `chunks`, `bytes`,
 //!   `suspends` (chunk-boundary pauses), `peak_buffered` (sliding-buffer
 //!   high-water mark), `budget_exceeded`;

@@ -84,8 +84,10 @@
 
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use cicero::prelude::*;
+use cicero::sim::ExecReport;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -651,9 +653,24 @@ fn run_host_mode(
     write_metrics(flags, &telemetry)
 }
 
-/// `run --jobs N`: chunk the input and match it on the parallel runtime
-/// (the simulator worker pool, or the host engine under
-/// `--backend host`).
+/// A local runtime with `tuned`'s cache and host-tier knobs applied;
+/// `jobs == 0` means all host cores.
+fn local_runtime(
+    jobs: usize,
+    compiler: CompilerOptions,
+    tuned: Option<&cicero::tune::TuneFile>,
+) -> Runtime {
+    Runtime::new(RuntimeOptions {
+        jobs,
+        compiler,
+        cache_shards: tuned.map_or(0, |t| t.config.cache_shards),
+        host_tiers: tuned.map(|t| t.host_tiers()).unwrap_or_default(),
+        ..RuntimeOptions::default()
+    })
+}
+
+/// `run --jobs N`: chunk the input and match it on the runtime's batch
+/// executor (the simulator, or the host engine under `--backend host`).
 fn run_batch_mode(
     pattern: &str,
     input: &[u8],
@@ -667,27 +684,29 @@ fn run_batch_mode(
     let chunks = chunk_input(input);
     let o0 = flags.has("O0");
     let compiler = compiler_base(tuned, o0);
-    let runtime = Runtime::new(RuntimeOptions {
-        jobs,
-        compiler,
-        cache_shards: tuned.map_or(0, |t| t.config.cache_shards),
-        host_tiers: tuned.map(|t| t.host_tiers()).unwrap_or_default(),
-        ..RuntimeOptions::default()
-    })
-    .with_telemetry(telemetry.clone());
-    if backend == Backend::Host {
-        return run_batch_host(pattern, input, &chunks, config, &runtime, flags, &telemetry);
-    }
-    let batch = if flags.has("old") {
+    let runtime = local_runtime(jobs, compiler, tuned).with_telemetry(telemetry.clone());
+    let program = if flags.has("old") {
         // The legacy compiler is outside the runtime's cache; compile once
-        // here and hand the program straight to the pool.
-        let program = LegacyCompiler::new(!o0).compile(pattern).map_err(|e| e.to_string())?;
-        runtime.run_batch(&program, &chunks, config)
+        // here and hand the program straight to the executor.
+        Arc::new(LegacyCompiler::new(!o0).compile(pattern).map_err(|e| e.to_string())?)
     } else {
-        runtime.match_batch(pattern, &chunks, config).map_err(|e| e.to_string())?
+        runtime.compile(pattern).map_err(|e| e.to_string())?
     };
+    let batch = runtime.run_batch_guarded_traced_on(
+        backend,
+        &program,
+        &chunks,
+        config,
+        &Budget::default(),
+        None,
+    );
     println!("pattern    : {pattern}");
-    println!("config     : {} @ {} MHz", config.name(), config.clock_mhz());
+    match backend {
+        Backend::Sim => {
+            println!("config     : {} @ {} MHz", config.name(), config.clock_mhz())
+        }
+        Backend::Host => println!("backend    : host"),
+    }
     println!(
         "batch      : {} chunk(s) of <= {} B on {} worker(s)",
         chunks.len(),
@@ -698,80 +717,37 @@ fn run_batch_mode(
         0 => println!("verdict    : no match"),
         n => println!("verdict    : MATCH in {n}/{} chunk(s)", chunks.len()),
     }
-    println!("cycles     : {}", batch.aggregate.cycles);
-    println!("time       : {:.3} us", batch.aggregate.time_us(config.clock_mhz()));
-    println!("instructions: {}", batch.aggregate.instructions);
-    println!("icache      : {:.1}% hits", batch.aggregate.icache_hit_rate() * 100.0);
-    println!(
-        "host wall  : {:.3} ms ({:.1} KB/s)",
-        batch.wall.as_secs_f64() * 1e3,
-        batch.throughput_bytes_per_sec(input.len()) / 1e3
-    );
+    let wall_s = batch.wall.as_secs_f64();
+    match backend {
+        Backend::Sim => {
+            let mut total = ExecReport::default();
+            for worker in &batch.workers {
+                total.cycles += worker.cycles;
+                total.instructions += worker.instructions;
+                total.icache_hits += worker.icache_hits;
+                total.icache_misses += worker.icache_misses;
+            }
+            println!("cycles     : {}", total.cycles);
+            println!("time       : {:.3} us", total.time_us(config.clock_mhz()));
+            println!("instructions: {}", total.instructions);
+            println!("icache      : {:.1}% hits", total.icache_hit_rate() * 100.0);
+            let kbps = if wall_s > 0.0 { input.len() as f64 / wall_s / 1e3 } else { 0.0 };
+            println!("host wall  : {:.3} ms ({kbps:.1} KB/s)", wall_s * 1e3);
+        }
+        Backend::Host => {
+            println!("bytes      : {}", input.len());
+            println!(
+                "host wall  : {:.3} ms ({:.1} MB/s)",
+                wall_s * 1e3,
+                input.len() as f64 / wall_s.max(1e-9) / 1e6
+            );
+        }
+    }
     if flags.has("pass-timing") {
         println!();
         println!("per-pass timing: n/a in --jobs batch mode (use a sequential run)");
     }
     write_metrics(flags, &telemetry)
-}
-
-/// `run --jobs N --backend host`: the same chunked batch, dispatched to
-/// the host engine through the runtime's guarded path (per-worker
-/// panic isolation, shared program cache).
-fn run_batch_host(
-    pattern: &str,
-    input: &[u8],
-    chunks: &[Vec<u8>],
-    config: &ArchConfig,
-    runtime: &Runtime,
-    flags: &Flags,
-    telemetry: &Telemetry,
-) -> Result<(), String> {
-    let batch = if flags.has("old") {
-        let program =
-            LegacyCompiler::new(!flags.has("O0")).compile(pattern).map_err(|e| e.to_string())?;
-        runtime.run_batch_guarded_traced_on(
-            Backend::Host,
-            &program,
-            chunks,
-            config,
-            &Budget::default(),
-            None,
-        )
-    } else {
-        runtime
-            .match_batch_guarded_traced_on(
-                Backend::Host,
-                pattern,
-                chunks,
-                config,
-                &Budget::default(),
-                None,
-            )
-            .map_err(|e| e.to_string())?
-    };
-    println!("pattern    : {pattern}");
-    println!("backend    : host");
-    println!(
-        "batch      : {} chunk(s) of <= {} B on {} worker(s)",
-        chunks.len(),
-        workloads::CHUNK_BYTES,
-        batch.jobs
-    );
-    match batch.matches() {
-        0 => println!("verdict    : no match"),
-        n => println!("verdict    : MATCH in {n}/{} chunk(s)", chunks.len()),
-    }
-    println!("bytes      : {}", input.len());
-    println!(
-        "host wall  : {:.3} ms ({:.1} MB/s)",
-        batch.wall.as_secs_f64() * 1e3,
-        input.len() as f64 / batch.wall.as_secs_f64().max(1e-9) / 1e6
-    );
-    if flags.has("pass-timing") {
-        println!();
-        println!("per-pass timing: n/a in --jobs batch mode (use a sequential run)");
-    }
-    write_metrics(flags, telemetry)
 }
 
 fn cmd_scan(args: &[String]) -> Result<(), String> {
@@ -873,7 +849,7 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
 }
 
 /// `scan --jobs N`: match the multi-pattern set chunk-by-chunk on the
-/// parallel runtime and summarise per-pattern hits.
+/// runtime's batch executor and summarise per-pattern hits.
 fn scan_batch_mode(
     patterns: &[String],
     input: &[u8],
@@ -882,88 +858,50 @@ fn scan_batch_mode(
     backend: Backend,
     tuned: Option<&cicero::tune::TuneFile>,
 ) -> Result<(), String> {
-    let chunks = chunk_input(input);
-    let runtime = Runtime::new(RuntimeOptions {
-        jobs,
-        compiler: compiler_base(tuned, false),
-        cache_shards: tuned.map_or(0, |t| t.config.cache_shards),
-        host_tiers: tuned.map(|t| t.host_tiers()).unwrap_or_default(),
-        ..RuntimeOptions::default()
-    });
-    let program = runtime.compile_set(patterns).map_err(|e| e.to_string())?;
-    if backend == Backend::Host {
-        return scan_batch_host(patterns, &chunks, config, &runtime, &program);
-    }
-    let batch = runtime.run_batch(&program, &chunks, config);
-    println!(
-        "{} chunk(s) of <= {} B on {} worker(s), {} cycles total",
-        chunks.len(),
-        workloads::CHUNK_BYTES,
-        batch.jobs,
-        batch.aggregate.cycles
-    );
-    // Per-chunk all-matches accounting: the cycle-level report halts at
-    // the first acceptance, so a chunk matching several set members would
-    // otherwise count only one of them. Re-running accepted chunks
-    // through the functional all-matches interpreter recovers every
-    // distinct id — the same accounting the server's `POST /scan` uses.
-    let mut per_pattern = vec![0usize; patterns.len()];
-    for (chunk, report) in chunks.iter().zip(&batch.reports) {
-        if report.accepted {
-            for id in cicero::isa::run_all(&program, chunk).matched_ids {
-                if let Some(count) = per_pattern.get_mut(usize::from(id)) {
-                    *count += 1;
-                }
-            }
-        }
-    }
-    if batch.matches() == 0 {
-        println!("no match");
-    } else {
-        for (id, count) in per_pattern.iter().enumerate() {
-            if *count > 0 {
-                println!("MATCH: pattern {} ({:?}) in {} chunk(s)", id, patterns[id], count);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// `scan --jobs N --backend host`: the chunked set scan on the host
-/// engine through the guarded path, with per-pattern counts from the
-/// host `run_all` — the same accounting as the server's host `/scan`.
-fn scan_batch_host(
-    patterns: &[String],
-    chunks: &[Vec<u8>],
-    config: &ArchConfig,
-    runtime: &Runtime,
-    program: &Program,
-) -> Result<(), String> {
     use cicero::runtime::MatchOutcome;
+    let chunks = chunk_input(input);
+    let runtime = local_runtime(jobs, compiler_base(tuned, false), tuned);
+    let program = runtime.compile_set(patterns).map_err(|e| e.to_string())?;
     let batch = runtime.run_batch_guarded_traced_on(
-        Backend::Host,
-        program,
-        chunks,
+        backend,
+        &program,
+        &chunks,
         config,
         &Budget::default(),
         None,
     );
-    println!(
-        "{} chunk(s) of <= {} B on {} worker(s) [host backend, {:.3} ms]",
+    let head = format!(
+        "{} chunk(s) of <= {} B on {} worker(s)",
         chunks.len(),
         workloads::CHUNK_BYTES,
-        batch.jobs,
-        batch.wall.as_secs_f64() * 1e3
+        batch.jobs
     );
-    let host = runtime.host_program(program);
+    // Per-chunk all-matches accounting: an engine run halts at the first
+    // acceptance, so a chunk matching several set members would otherwise
+    // count only one of them. Re-running accepted chunks through an
+    // all-matches pass recovers every distinct id — the same accounting
+    // the server's `POST /scan` uses.
+    let host = match backend {
+        Backend::Sim => {
+            let cycles: u64 = batch.workers.iter().map(|w| w.cycles).sum();
+            println!("{head}, {cycles} cycles total");
+            None
+        }
+        Backend::Host => {
+            println!("{head} [host backend, {:.3} ms]", batch.wall.as_secs_f64() * 1e3);
+            Some(runtime.host_program(&program))
+        }
+    };
     let mut per_pattern = vec![0usize; patterns.len()];
     for (chunk, outcome) in chunks.iter().zip(&batch.outcomes) {
-        if let MatchOutcome::Complete(report) = outcome {
-            if report.accepted {
-                for id in host.run_all(chunk).matched_ids {
-                    if let Some(count) = per_pattern.get_mut(usize::from(id)) {
-                        *count += 1;
-                    }
+        if matches!(outcome, MatchOutcome::Complete(report) if report.accepted) {
+            let ids = match &host {
+                Some(host) => host.run_all(chunk).matched_ids,
+                None => cicero::isa::run_all(&program, chunk).matched_ids,
+            };
+            for id in ids {
+                if let Some(count) = per_pattern.get_mut(usize::from(id)) {
+                    *count += 1;
                 }
             }
         }
@@ -1024,14 +962,10 @@ fn scan_stream_mode(
         }
         _ => return Err("provide exactly one of --text STR or --input FILE".to_owned()),
     };
-    let runtime = Runtime::new(RuntimeOptions {
-        compiler: base.with_backend(backend),
-        cache_shards: tuned.map_or(0, |t| t.config.cache_shards),
-        host_tiers: tuned.map(|t| t.host_tiers()).unwrap_or_default(),
-        ..RuntimeOptions::default()
-    });
-    let report =
-        runtime.scan_stream(set.program(), source, config, &options).map_err(|e| e.to_string())?;
+    let runtime = local_runtime(0, base, tuned);
+    let report = runtime
+        .scan_stream_traced_on(backend, set.program(), source, config, &options, None)
+        .map_err(|e| e.to_string())?;
     // The host engine has no cycle model: its reports count bytes
     // examined where the simulator counts cycles.
     let unit = match backend {
@@ -1412,8 +1346,14 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         let (program, _cache_hit) = runtime
             .compile_set_traced(&flags.positional, Some(&root))
             .map_err(|e| e.to_string())?;
-        let batch =
-            runtime.run_batch_guarded_traced(&program, &chunks, &config, &budget, Some(&root));
+        let batch = runtime.run_batch_guarded_traced_on(
+            runtime.backend(),
+            &program,
+            &chunks,
+            &config,
+            &budget,
+            Some(&root),
+        );
         root.annotate("completed", batch.completed());
     }
     let trace = ctx.finish();

@@ -20,8 +20,9 @@
 //!   bit-parallel NFA engine (with a lazy-DFA tier and a literal
 //!   prefilter) that executes on the host CPU instead of the simulator;
 //! * [`sim`] — the cycle-level DSA simulator with power/resource models;
-//! * [`runtime`] — the parallel batch-matching runtime: worker pool over
-//!   the simulator fronted by an LRU compiled-program cache;
+//! * [`runtime`] — the parallel batch-matching runtime: one batch
+//!   executor and one streaming session over the simulator or the host
+//!   engine, fronted by an LRU compiled-program cache;
 //! * [`server`] — the std-only HTTP/1.1 match-serving subsystem over the
 //!   runtime: admission control, per-request budgets, graceful draining;
 //! * [`telemetry`] — spans, metrics, and summary/JSON-lines sinks shared
@@ -79,9 +80,7 @@ pub mod prelude {
         StreamReport,
     };
     pub use cicero_server::{DrainReport, Server, ServerHandle, ServerOptions};
-    pub use cicero_sim::{
-        simulate, simulate_batch, simulate_batch_parallel, simulate_with_telemetry, ArchConfig,
-    };
+    pub use cicero_sim::{simulate, simulate_batch, simulate_with_telemetry, ArchConfig};
     pub use cicero_telemetry::Telemetry;
     pub use regex_oracle::Oracle;
 }
