@@ -36,56 +36,11 @@ use std::time::{Duration, Instant};
 use cicero_dialect::CodegenError;
 use cicero_isa::Program;
 use cicero_telemetry::Telemetry;
-use mlir_lite::{Context, Operation, PassError, PassInstrumentation};
+use mlir_lite::{Context, Operation, PassError};
 // Re-exported so downstream crates (runtime, server) can consume per-pass
 // reports without depending on mlir-lite directly.
 pub use mlir_lite::{PassReport, PipelineReport};
 use regex_frontend::ParseRegexError;
-
-/// Pass instrumentation bridging the pass manager to a [`Telemetry`]
-/// collector: one `pass:<name>` span per executed pass, annotated with
-/// the op-count delta (and the error message on failure).
-///
-/// Passes run sequentially, so open spans form a stack; the `Mutex` only
-/// provides the interior mutability `PassInstrumentation`'s `&self` hooks
-/// require.
-struct TelemetrySpans {
-    telemetry: Telemetry,
-    open: std::sync::Mutex<Vec<cicero_telemetry::Span>>,
-}
-
-impl TelemetrySpans {
-    fn new(telemetry: Telemetry) -> TelemetrySpans {
-        TelemetrySpans { telemetry, open: std::sync::Mutex::new(Vec::new()) }
-    }
-
-    fn pop(&self) -> Option<cicero_telemetry::Span> {
-        self.open.lock().unwrap_or_else(|p| p.into_inner()).pop()
-    }
-}
-
-impl PassInstrumentation for TelemetrySpans {
-    fn run_before_pass(&self, pass_name: &'static str, _root: &Operation) {
-        let span = self.telemetry.span(format!("pass:{pass_name}"));
-        self.open.lock().unwrap_or_else(|p| p.into_inner()).push(span);
-    }
-
-    fn run_after_pass(&self, _pass_name: &'static str, _root: &Operation, report: &PassReport) {
-        if let Some(span) = self.pop() {
-            span.annotate("ops_before", report.ops_before);
-            span.annotate("ops_after", report.ops_after);
-            span.annotate("ops_delta", report.ops_delta());
-        }
-        self.telemetry.counter_add("compiler.passes_run", 1);
-    }
-
-    fn run_after_pass_failed(&self, _pass_name: &'static str, error: &PassError) {
-        if let Some(span) = self.pop() {
-            span.annotate("error", error.to_string());
-        }
-        self.telemetry.counter_add("compiler.passes_failed", 1);
-    }
-}
 
 /// Execution target for a compiled program.
 ///
@@ -278,6 +233,19 @@ impl CompiledRegex {
     pub fn pass_report(&self) -> &PipelineReport {
         &self.pass_report
     }
+
+    /// Fold this compilation into `telemetry`'s `compiler.*` series: one
+    /// compilation, the passes it ran, and its code size and `D_offset`
+    /// as the latest gauges. A pipeline with every pass disabled (`-O0`)
+    /// leaves `compiler.passes_run` unregistered rather than zero.
+    pub fn record_into(&self, telemetry: &Telemetry) {
+        telemetry.counter_add("compiler.compilations", 1);
+        if !self.pass_report.passes.is_empty() {
+            telemetry.counter_add("compiler.passes_run", self.pass_report.passes.len() as u64);
+        }
+        telemetry.gauge_set("compiler.code_size", self.code_size() as f64);
+        telemetry.gauge_set("compiler.d_offset", self.d_offset() as f64);
+    }
 }
 
 /// Intermediate artifacts of one compilation, for tooling and debugging.
@@ -350,7 +318,6 @@ impl From<CodegenError> for CompileError {
 pub struct Compiler {
     options: CompilerOptions,
     ctx: Context,
-    telemetry: Option<Telemetry>,
 }
 
 impl Default for Compiler {
@@ -370,22 +337,7 @@ impl Compiler {
         let mut ctx = Context::new();
         ctx.register_dialect(regex_dialect::dialect());
         ctx.register_dialect(cicero_dialect::dialect());
-        Compiler { options, ctx, telemetry: None }
-    }
-
-    /// Attach a telemetry collector: every compilation then emits a
-    /// `compile` span with nested per-stage spans and one `pass:<name>`
-    /// span per executed pass (annotated with op-count deltas), plus
-    /// `compiler.*` counters and gauges.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Compiler {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// The attached telemetry collector, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
+        Compiler { options, ctx }
     }
 
     /// The active options.
@@ -412,74 +364,41 @@ impl Compiler {
         pattern: &str,
     ) -> Result<CompilationArtifacts, CompileError> {
         let mut stats = CompileStats::default();
-        let telemetry = self.telemetry.clone();
-        let stage = |name: &str| telemetry.as_ref().map(|t| t.span(format!("stage:{name}")));
-        let compile_span = telemetry.as_ref().map(|t| {
-            t.counter_add("compiler.compilations", 1);
-            let span = t.span("compile");
-            span.annotate("pattern", pattern);
-            span
-        });
         let mut pass_report = PipelineReport::default();
 
-        let span = stage("parse");
         let start = Instant::now();
         let ast = regex_frontend::parse(pattern)?;
         stats.parse = start.elapsed();
-        drop(span);
 
-        let span = stage("convert");
         let start = Instant::now();
         let mut regex_ir = regex_dialect::ast_to_ir(&ast);
         stats.convert = start.elapsed();
-        drop(span);
         let regex_ir_initial = regex_ir.clone();
 
-        let span = stage("high-level");
         let start = Instant::now();
         let mut high = mlir_lite::PassManager::new();
         high.verify_each(self.options.verify_each);
         regex_dialect::transforms::build_pipeline(&mut high, &self.high_level_options());
-        if let Some(t) = &telemetry {
-            high.add_instrumentation(Box::new(TelemetrySpans::new(t.clone())));
-        }
         pass_report.extend(&high.run(&mut regex_ir, &self.ctx)?);
         stats.high_level = start.elapsed();
-        drop(span);
         let regex_ir_optimized = regex_ir.clone();
 
-        let span = stage("lowering");
         let start = Instant::now();
         let mut cicero_ir = cicero_dialect::lower_to_cicero(&regex_ir);
         stats.lowering = start.elapsed();
-        drop(span);
         let cicero_ir_initial = cicero_ir.clone();
 
-        let span = stage("low-level");
         let start = Instant::now();
         let mut low = mlir_lite::PassManager::new();
         low.verify_each(self.options.verify_each);
         cicero_dialect::build_pipeline(&mut low, &self.low_level_options());
-        if let Some(t) = &telemetry {
-            low.add_instrumentation(Box::new(TelemetrySpans::new(t.clone())));
-        }
         pass_report.extend(&low.run(&mut cicero_ir, &self.ctx)?);
         stats.low_level = start.elapsed();
-        drop(span);
         let cicero_ir_optimized = cicero_ir.clone();
 
-        let span = stage("codegen");
         let start = Instant::now();
         let program = cicero_dialect::codegen(&cicero_ir)?;
         stats.codegen = start.elapsed();
-        drop(span);
-
-        if let (Some(t), Some(span)) = (&telemetry, &compile_span) {
-            span.annotate("code_size", program.len());
-            span.annotate("d_offset", program.total_jump_offset());
-            t.gauge_set("compiler.code_size", program.len() as f64);
-            t.gauge_set("compiler.d_offset", program.total_jump_offset() as f64);
-        }
 
         Ok(CompilationArtifacts {
             canonical_pattern: ast.to_pattern(),
@@ -680,37 +599,17 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_records_spans_and_metrics() {
+    fn record_into_folds_the_compiler_series() {
         let telemetry = Telemetry::new();
-        let compiler = Compiler::new().with_telemetry(telemetry.clone());
-        let compiled = compiler.compile("ab|cd").unwrap();
-        let spans = telemetry.spans();
-        let compile_span = spans.iter().find(|s| s.name == "compile").unwrap();
-        assert!(compile_span.attrs.iter().any(|(k, _)| k == "code_size"));
-        assert!(compile_span.attrs.iter().any(|(k, _)| k == "d_offset"));
-        for stage in ["parse", "convert", "high-level", "lowering", "low-level", "codegen"] {
-            assert!(
-                spans.iter().any(|s| s.name == format!("stage:{stage}")),
-                "missing stage:{stage}"
-            );
-        }
-        let pass_spans: Vec<_> = spans.iter().filter(|s| s.name.starts_with("pass:")).collect();
-        assert_eq!(pass_spans.len(), compiled.pass_report().passes.len());
-        for span in &pass_spans {
-            assert!(span.depth >= 2, "pass span should nest under compile/stage");
-            assert!(span.attrs.iter().any(|(k, _)| k == "ops_delta"), "{:?}", span.attrs);
-        }
+        let compiled = compile("ab|cd").unwrap();
+        compiled.record_into(&telemetry);
         assert_eq!(telemetry.counter("compiler.compilations"), 1);
-        assert_eq!(telemetry.counter("compiler.passes_run") as usize, pass_spans.len());
+        assert_eq!(
+            telemetry.counter("compiler.passes_run") as usize,
+            compiled.pass_report().passes.len()
+        );
         assert_eq!(telemetry.gauge("compiler.code_size"), Some(compiled.code_size() as f64));
         assert_eq!(telemetry.gauge("compiler.d_offset"), Some(compiled.d_offset() as f64));
-    }
-
-    #[test]
-    fn telemetry_is_optional_and_absent_by_default() {
-        let compiler = Compiler::new();
-        assert!(compiler.telemetry().is_none());
-        compiler.compile("ab").unwrap();
     }
 
     #[test]

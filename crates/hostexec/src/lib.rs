@@ -6,7 +6,7 @@
 //! this CPU can produce it" — by lowering the same validated [`Program`]
 //! one step further, onto the host:
 //!
-//! 1. **Epsilon elimination** ([`nfa`]): `Split`/`Jump`/`NotMatch` paths
+//! 1. **Epsilon elimination** (`nfa.rs`): `Split`/`Jump`/`NotMatch` paths
 //!    are folded away into a byte-predicate NFA whose states are
 //!    `(pc, predicate)` pairs, restoring the Glushkov property (every
 //!    entry into a state agrees on its byte predicate).
@@ -24,7 +24,7 @@
 //!    byte-class-compressed lazy DFA. A pathological program that blows
 //!    the lowering budget falls back to the reference interpreter —
 //!    slower, never wrong.
-//! 4. **Prefilter** ([`prefilter`]): a memchr-style skip loop extracted
+//! 4. **Prefilter** (`prefilter.rs`): a memchr-style skip loop extracted
 //!    from the steady scan state, exact by construction.
 //!
 //! Semantics match [`cicero_isa::run`] / [`cicero_isa::run_all`]

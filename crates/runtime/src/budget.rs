@@ -297,12 +297,41 @@ impl Runtime {
         }
         batch
     }
+
+    /// Per set member, the number of `chunks` it matches, given the
+    /// `batch` that already ran them on `backend`. A first-acceptance run
+    /// halts on any one member, so each accepted chunk is re-run through
+    /// the backend's all-matches pass (the host engine's `run_all`, or the
+    /// functional interpreter's on the simulator). Ids at or past
+    /// `members` are ignored.
+    pub fn pattern_hits_on(
+        &self,
+        backend: Backend,
+        program: &Program,
+        chunks: &[Vec<u8>],
+        batch: &GuardedBatch,
+        members: usize,
+    ) -> Vec<u64> {
+        let engine = Engine::select(self, backend, program);
+        let mut hits = vec![0u64; members];
+        for (chunk, outcome) in chunks.iter().zip(&batch.outcomes) {
+            if matches!(outcome, MatchOutcome::Complete(report) if report.accepted) {
+                for id in engine.run_all(chunk) {
+                    if let Some(count) = hits.get_mut(usize::from(id)) {
+                        *count += 1;
+                    }
+                }
+            }
+        }
+        hits
+    }
 }
 
 /// Fold one batch into the collector: `runtime.*` counters and
 /// per-worker distributions, plus every run's report merged into the
-/// `sim.*` metrics (the same shape `simulate_with_telemetry` emits, so
-/// dashboards aggregate sequential and parallel traffic uniformly).
+/// `sim.*` metrics (the same shape [`ExecReport::record_into`] emits for
+/// one run, so dashboards aggregate sequential and parallel traffic
+/// uniformly).
 fn record_batch(telemetry: &Telemetry, batch: &GuardedBatch) {
     telemetry.counter_add("runtime.batches", 1);
     telemetry.counter_add("runtime.inputs", batch.outcomes.len() as u64);
@@ -557,6 +586,33 @@ mod tests {
         assert!(matches!(&batch.outcomes[3], MatchOutcome::Fault(m) if m.contains("input 3")));
         assert_eq!(batch.completed(), chunks().len() - 1);
         assert_eq!(batch.worker_restarts, 2);
+    }
+
+    #[test]
+    fn pattern_hits_count_every_member_of_accepted_chunks_on_both_engines() {
+        let config = ArchConfig::new_organization(8, 1);
+        // Chunk 2 "xxxabcdxxx" holds `abcd` and `cd`; chunk 5 "bcda"
+        // holds `bcda` and `cd`.
+        let patterns = ["abcd", "bcda", "cd", "zzz"];
+        let runtime = runtime(2);
+        let program = runtime.compile_set(&patterns).unwrap();
+        let chunks = chunks();
+        for backend in [Backend::Sim, Backend::Host] {
+            let run = |budget: &Budget| {
+                runtime
+                    .run_batch_guarded_traced_on(backend, &program, &chunks, &config, budget, None)
+            };
+            let batch = run(&Budget::UNLIMITED);
+            let hits = |batch: &GuardedBatch, members: usize| {
+                runtime.pattern_hits_on(backend, &program, &chunks, batch, members)
+            };
+            assert_eq!(hits(&batch, patterns.len()), [1, 1, 2, 0], "{backend}");
+            assert_eq!(hits(&batch, 2), [1, 1], "{backend}: ids past `members` are dropped");
+            // Chunks that tripped their budget are not re-run.
+            let starved = run(&Budget { fuel: Some(1), deadline: None });
+            assert!(starved.budget_exceeded() >= 2, "{backend}");
+            assert_eq!(hits(&starved, patterns.len()), [0; 4], "{backend}");
+        }
     }
 
     #[test]

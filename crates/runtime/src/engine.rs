@@ -2,9 +2,10 @@
 //!
 //! Both request shapes run on either engine: the batch executor asks for
 //! a per-worker [`Runner`], the streaming session loop for a
-//! [`Session`]. Everything around them — work distribution, panic
-//! isolation, deadlines, the reader thread, telemetry and tracing — is
-//! written once against these two types.
+//! [`Session`], and the all-matches count over a finished batch for
+//! [`Engine::run_all`]. Everything around them — work distribution,
+//! panic isolation, deadlines, the reader thread, telemetry and tracing
+//! — is written once against these types.
 //!
 //! On the host engine fuel is a byte budget: the clamped `max_cycles`
 //! caps the bytes examined, and reports follow the synthesis convention
@@ -16,7 +17,6 @@ use cicero_core::Backend;
 use cicero_hostexec::{HostMatcher, HostOutcome, HostProgram, HostRun};
 use cicero_isa::Program;
 use cicero_sim::{ArchConfig, ExecReport, Machine, StreamMachine, StreamStatus};
-use cicero_telemetry::Telemetry;
 
 use crate::Runtime;
 
@@ -69,6 +69,16 @@ impl<'p> Engine<'p> {
         }
     }
 
+    /// Every set member that matches `input`: all-matches semantics, no
+    /// halt at the first acceptance. The host engine and the functional
+    /// interpreter report byte-identical id sets.
+    pub(crate) fn run_all(&self, input: &[u8]) -> Vec<u16> {
+        match self {
+            Engine::Sim(program) => cicero_isa::run_all(program, input).matched_ids,
+            Engine::Host(host) => host.run_all(input).matched_ids,
+        }
+    }
+
     /// A per-worker runner under the (fuel-clamped) `config`.
     pub(crate) fn runner(&self, config: &ArchConfig) -> Runner<'_> {
         match self {
@@ -77,25 +87,13 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// A streaming session under the (fuel-clamped) `config`; the
-    /// concluded run folds into `telemetry`'s `sim.*` series.
-    pub(crate) fn session(
-        &self,
-        config: &ArchConfig,
-        telemetry: Option<&Telemetry>,
-    ) -> Box<dyn Session + '_> {
+    /// A streaming session under the (fuel-clamped) `config`.
+    pub(crate) fn session(&self, config: &ArchConfig) -> Box<dyn Session + '_> {
         match self {
-            Engine::Sim(program) => {
-                let mut stream = StreamMachine::new(program, config.clone());
-                if let Some(telemetry) = telemetry {
-                    stream.attach_telemetry(telemetry.clone());
-                }
-                Box::new(stream)
-            }
+            Engine::Sim(program) => Box::new(StreamMachine::new(program, config.clone())),
             Engine::Host(host) => Box::new(HostSession {
                 matcher: host.matcher(),
                 byte_cap: config.max_cycles,
-                telemetry: telemetry.cloned(),
                 peak_buffered: 0,
                 limit_hit: false,
             }),
@@ -175,7 +173,6 @@ impl Session for StreamMachine<'_> {
 struct HostSession<'e> {
     matcher: HostMatcher<'e>,
     byte_cap: u64,
-    telemetry: Option<Telemetry>,
     peak_buffered: usize,
     limit_hit: bool,
 }
@@ -183,11 +180,7 @@ struct HostSession<'e> {
 impl HostSession<'_> {
     fn conclude(&self, outcome: HostOutcome, hit_byte_limit: bool) -> ExecReport {
         let run = HostRun { outcome, scanned: self.matcher.position() as u64, hit_byte_limit };
-        let report = host_exec_report(&run);
-        if let Some(telemetry) = &self.telemetry {
-            report.record_into(telemetry);
-        }
-        report
+        host_exec_report(&run)
     }
 }
 

@@ -224,7 +224,8 @@ impl Runtime {
 
     /// Attach a telemetry collector: every batch then records `runtime.*`
     /// counters (batch/input/cache totals, per-worker distributions) and
-    /// folds each run's [`ExecReport`] into the existing `sim.*` metrics.
+    /// folds each run's [`ExecReport`](cicero_sim::ExecReport) into the
+    /// existing `sim.*` metrics.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Runtime {
         self.telemetry = Some(telemetry);
@@ -441,6 +442,43 @@ mod tests {
         let all = cicero_isa::run_all(&set, b"xab");
         assert_eq!(all.matched_ids, vec![0, 1]);
         assert_eq!(runtime.cache().stats().entries, 1);
+    }
+
+    /// A traced cache miss projects the compiler's own pass report into
+    /// the trace: one `pass:*` child of `compile` per executed pass, in
+    /// pipeline order, each carrying its op counts.
+    #[test]
+    fn traced_compile_miss_has_one_span_per_pass() {
+        let runtime = runtime(1);
+        let ctx = cicero_telemetry::TraceContext::new("compile-miss");
+        let root = ctx.root_span("request");
+        let (program, hit) = runtime.compile_traced(PATTERN, Some(&root)).unwrap();
+        assert!(!hit);
+        drop(root);
+        let trace = ctx.finish();
+
+        let compiled = Compiler::with_options(runtime.options().compiler).compile(PATTERN).unwrap();
+        assert_eq!(*program, *compiled.program());
+        let compile = trace.span("compile").expect("compile span");
+        let spans = trace.spans_with_prefix("pass:");
+        let passes = &compiled.pass_report().passes;
+        assert_eq!(spans.len(), passes.len());
+        let mut previous_start = compile.start;
+        for (span, pass) in spans.iter().zip(passes) {
+            assert_eq!(span.name, format!("pass:{}", pass.name));
+            assert_eq!(span.parent, Some(compile.id));
+            assert!(span.start >= previous_start, "{} starts out of order", span.name);
+            previous_start = span.start;
+            let attrs: Vec<(&str, String)> =
+                span.attrs.iter().map(|(k, v)| (k.as_str(), v.to_string())).collect();
+            assert_eq!(
+                attrs,
+                [
+                    ("ops_before", pass.ops_before.to_string()),
+                    ("ops_after", pass.ops_after.to_string())
+                ]
+            );
+        }
     }
 
     #[test]

@@ -135,8 +135,7 @@ impl Runtime {
         let start = Instant::now();
         let deadline_at = options.budget.deadline.map(|d| start + d);
         let engine = Engine::select(self, backend, program);
-        let mut session =
-            engine.session(&options.budget.clamp_config(config), self.telemetry.as_ref());
+        let mut session = engine.session(&options.budget.clamp_config(config));
 
         let chunk_size = options.chunk_size;
         let (mut bytes, mut chunks, mut suspends) = (0u64, 0u64, 0u64);
@@ -191,10 +190,14 @@ impl Runtime {
             return Err(StreamError::Io(e));
         }
 
+        let concluded = if deadline_hit { session.abandon() } else { session.finish() };
+        if let Some(telemetry) = &self.telemetry {
+            concluded.record_into(telemetry);
+        }
         let outcome = if deadline_hit {
-            MatchOutcome::Budget { kind: BudgetKind::Deadline, partial: Some(session.abandon()) }
+            MatchOutcome::Budget { kind: BudgetKind::Deadline, partial: Some(concluded) }
         } else {
-            options.budget.classify(session.finish(), config)
+            options.budget.classify(concluded, config)
         };
         let report = StreamReport {
             outcome,
@@ -386,18 +389,21 @@ mod tests {
 
     #[test]
     fn stream_telemetry_is_recorded() {
-        let telemetry = Telemetry::new();
-        let runtime = runtime().with_telemetry(telemetry.clone());
-        let config = ArchConfig::old_organization(1);
-        let report =
-            stream(&runtime, "ab|cd", Cursor::new(vec![b'x'; 2048]), &config, &options(256))
-                .unwrap();
-        assert_eq!(telemetry.counter("stream.sessions"), 1);
-        assert_eq!(telemetry.counter("stream.chunks"), report.chunks);
-        assert_eq!(telemetry.counter("stream.bytes"), 2048);
-        assert!(telemetry.histogram("stream.peak_buffered").is_some());
-        // The concluded run folds into the sim.* series like batch runs do.
-        assert_eq!(telemetry.counter("sim.runs"), 1);
+        for runtime in [runtime(), host_runtime()] {
+            let telemetry = Telemetry::new();
+            let runtime = runtime.with_telemetry(telemetry.clone());
+            let config = ArchConfig::old_organization(1);
+            let report =
+                stream(&runtime, "ab|cd", Cursor::new(vec![b'x'; 2048]), &config, &options(256))
+                    .unwrap();
+            assert_eq!(telemetry.counter("stream.sessions"), 1);
+            assert_eq!(telemetry.counter("stream.chunks"), report.chunks);
+            assert_eq!(telemetry.counter("stream.bytes"), 2048);
+            assert!(telemetry.histogram("stream.peak_buffered").is_some());
+            // The concluded run folds into the sim.* series once, on
+            // either engine, like batch runs do.
+            assert_eq!(telemetry.counter("sim.runs"), 1, "{}", runtime.backend());
+        }
     }
 
     #[test]

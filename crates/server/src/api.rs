@@ -391,13 +391,15 @@ fn resolve_scan_source(
 
 /// `POST /scan`: the patterns compile as one multi-matching set (through
 /// the LRU cache), the input is scanned in 500-byte chunks on the batch
-/// executor, and per-pattern chunk counts come from an all-matches pass
-/// (host engine `run_all`, or [`cicero_isa::run_all`] under
-/// `X-Cicero-Backend: sim`) so overlapping set members are all
-/// reported — the same accounting as `cicero scan --jobs N`. With
-/// `?ruleset={id}`, the pattern set comes from the registry instead of
-/// the body: the scan pins the version current at admission and the
-/// response is tagged with it (`x-cicero-ruleset-version`).
+/// executor, and per-pattern chunk counts come from the runtime's
+/// all-matches pass ([`Runtime::pattern_hits_on`]) so overlapping set
+/// members are all reported — the same accounting as
+/// `cicero scan --jobs N`. With `?ruleset={id}`, the pattern set comes
+/// from the registry instead of the body: the scan pins the version
+/// current at admission and the response is tagged with it
+/// (`x-cicero-ruleset-version`).
+///
+/// [`Runtime::pattern_hits_on`]: cicero_runtime::Runtime::pattern_hits_on
 fn handle_scan(shared: &Shared, request: &Request, root: &TraceSpan) -> Response {
     let budget = match budget_from_headers(request) {
         Ok(budget) => budget,
@@ -427,35 +429,16 @@ fn handle_scan(shared: &Shared, request: &Request, root: &TraceSpan) -> Response
     );
 
     // Merging the per-chunk outcomes re-runs accepted chunks through the
-    // all-matches interpreter, which is real work worth its own span.
+    // backend's all-matches pass, which is real work worth its own span.
     let merge_span = root.child("merge");
-    let host = (backend == Backend::Host).then(|| shared.runtime.host_program(&program));
-    let mut per_pattern = vec![0u64; source.patterns().len()];
+    let per_pattern =
+        shared.runtime.pattern_hits_on(backend, &program, &chunks, &batch, source.patterns().len());
     let mut cycles = 0u64;
     let mut budget_kind = None;
     let mut faults = 0usize;
-    for (chunk, outcome) in chunks.iter().zip(&batch.outcomes) {
+    for outcome in &batch.outcomes {
         match outcome {
-            MatchOutcome::Complete(report) => {
-                cycles += report.cycles;
-                if report.accepted {
-                    // The first-acceptance run halts on any set member
-                    // (hardware semantics); the all-matches pass reports
-                    // every distinct one. On the host backend that pass
-                    // is the memoized host engine; on sim it is the
-                    // functional interpreter. Their id sets are
-                    // byte-identical (proptested in cicero-runtime).
-                    let ids = match &host {
-                        Some(host) => host.run_all(chunk).matched_ids,
-                        None => cicero_isa::run_all(&program, chunk).matched_ids,
-                    };
-                    for id in ids {
-                        if let Some(count) = per_pattern.get_mut(usize::from(id)) {
-                            *count += 1;
-                        }
-                    }
-                }
-            }
+            MatchOutcome::Complete(report) => cycles += report.cycles,
             MatchOutcome::Budget { kind, partial } => {
                 budget_kind = Some(*kind);
                 if let Some(partial) = partial {

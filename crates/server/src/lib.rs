@@ -13,9 +13,9 @@
 //!   are dispatched to the worker pool, so connection count decouples
 //!   from handler-thread count: a thousand idle keep-alive clients cost
 //!   one poller, not a thousand blocked workers. After a response, a
-//!   worker waits [`KEEPALIVE_GRACE`] for a pipelined follow-up (the
+//!   worker waits `KEEPALIVE_GRACE` (5 ms) for a pipelined follow-up (the
 //!   closed-loop fast path) and hands the connection back to the poller
-//!   when none arrives — or after [`KEEPALIVE_BURST`] requests, so one
+//!   when none arrives — or after `KEEPALIVE_BURST` (32) requests, so one
 //!   fast client cannot monopolize a worker.
 //! * **Admission control** — ready connections flow through a *bounded*
 //!   dispatch queue ([`ServerOptions::queue_depth`]); total open
@@ -27,7 +27,8 @@
 //!   hang.
 //! * **Endpoints** — `POST /match` (per-pattern verdicts over one input),
 //!   `POST /scan` (multi-pattern set over 500-byte chunks, with
-//!   all-matches per-pattern counts via [`cicero_isa::run_all`]),
+//!   all-matches per-pattern counts via the runtime's
+//!   [`Runtime::pattern_hits_on`]),
 //!   `GET /metrics` (the unified telemetry in summary or JSONL form),
 //!   `GET /healthz`, and `POST /shutdown` (begin draining).
 //! * **Per-request budgets** — `X-Cicero-Fuel` and `X-Cicero-Deadline-Ms`
@@ -125,7 +126,7 @@ pub struct ServerOptions {
     /// How long shutdown waits for queued + in-flight requests to finish.
     pub drain_timeout: Duration,
     /// Options for the inner matching [`Runtime`]. The default serves
-    /// with the host-native backend ([`Backend::Host`]); a request can
+    /// on the default [`Backend`], the host-native engine; a request can
     /// pick the cycle-level simulator with `X-Cicero-Backend: sim`.
     pub runtime: RuntimeOptions,
     /// Architecture simulated when a request does not name one.
@@ -152,7 +153,7 @@ impl Default for ServerOptions {
             queue_depth: 64,
             drain_timeout: Duration::from_millis(5000),
             runtime: RuntimeOptions {
-                compiler: CompilerOptions::optimized().with_backend(Backend::Host),
+                compiler: CompilerOptions::optimized().with_backend(Backend::default()),
                 ..RuntimeOptions::default()
             },
             config: ArchConfig::new_organization(16, 1),

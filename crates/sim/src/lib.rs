@@ -51,9 +51,7 @@ pub mod trace;
 
 pub use cache::CacheCounters;
 pub use config::{ArchConfig, CacheConfig, Organization};
-pub use machine::{
-    simulate, simulate_batch, simulate_with_telemetry, InputRead, Machine, WorkerStats,
-};
+pub use machine::{simulate, simulate_batch, InputRead, Machine, WorkerStats};
 pub use power::power_watts;
 pub use resources::{resource_usage, ResourceUsage, XCZU3EG};
 pub use stats::ExecReport;

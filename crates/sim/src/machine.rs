@@ -48,19 +48,6 @@ pub fn simulate(program: &Program, input: &[u8], config: &ArchConfig) -> ExecRep
     Machine::new(program, config.clone()).run(input)
 }
 
-/// Like [`simulate`], but folding the run's counters and histograms into
-/// `telemetry` (see [`ExecReport::record_into`]).
-pub fn simulate_with_telemetry(
-    program: &Program,
-    input: &[u8],
-    config: &ArchConfig,
-    telemetry: &cicero_telemetry::Telemetry,
-) -> ExecReport {
-    let mut machine = Machine::new(program, config.clone());
-    machine.attach_telemetry(telemetry.clone());
-    machine.run(input)
-}
-
 /// Run one program over many inputs (e.g. the benchmark chunks of one RE),
 /// keeping the instruction caches warm between runs as the hardware does —
 /// reprogramming flushes the caches, streaming new data does not.
@@ -220,8 +207,6 @@ pub struct Machine<'p> {
     loads: Vec<usize>,
     /// Pipeline trace, when enabled via [`Machine::run_traced`].
     trace: Option<Vec<TraceEvent>>,
-    /// Telemetry collector; every finished run is folded into it.
-    telemetry: Option<cicero_telemetry::Telemetry>,
     /// Cumulative icache counters snapshotted at [`Machine::begin`]; the
     /// per-run `icache_*` report fields are the delta beyond this.
     icache_baseline: crate::cache::CacheCounters,
@@ -253,16 +238,8 @@ impl<'p> Machine<'p> {
             matched_id: None,
             loads: Vec::new(),
             trace: None,
-            telemetry: None,
             icache_baseline: crate::cache::CacheCounters::default(),
         }
-    }
-
-    /// Attach a telemetry collector: each subsequent [`Machine::run`]
-    /// emits a `sim.run` span and folds its [`ExecReport`] into the
-    /// collector's `sim.*` histograms and counters.
-    pub fn attach_telemetry(&mut self, telemetry: cicero_telemetry::Telemetry) {
-        self.telemetry = Some(telemetry);
     }
 
     /// Refresh every core's instruction cache from the resident program
@@ -336,20 +313,9 @@ impl<'p> Machine<'p> {
     /// position 0) in engine 0. Can be called repeatedly; instruction
     /// caches stay warm across calls.
     pub fn run(&mut self, input: &[u8]) -> ExecReport {
-        let run_span = self.telemetry.as_ref().map(|t| {
-            let span = t.span("sim.run");
-            span.annotate("input_len", input.len());
-            span.annotate("config", self.config.name());
-            span
-        });
         self.begin();
         self.drive(input, None);
-        let report = self.finalize();
-        if let Some(span) = run_span {
-            span.annotate("cycles", report.cycles);
-            span.annotate("accepted", report.accepted);
-        }
-        report
+        self.finalize()
     }
 
     /// Start a run: reset dynamic state, snapshot the icache counters, and
@@ -435,8 +401,7 @@ impl<'p> Machine<'p> {
     }
 
     /// Fill in the report's summary fields (cycle count, verdict, icache
-    /// deltas) and fold the run into the attached telemetry. Returns the
-    /// completed report.
+    /// deltas). Returns the completed report.
     pub(crate) fn finalize(&mut self) -> ExecReport {
         let icache_now = self.icache_counters();
         self.report.icache_hits = icache_now.hits - self.icache_baseline.hits;
@@ -445,9 +410,6 @@ impl<'p> Machine<'p> {
         self.report.accepted = self.accepted.is_some();
         self.report.match_position = self.accepted;
         self.report.matched_id = self.matched_id;
-        if let Some(telemetry) = &self.telemetry {
-            self.report.record_into(telemetry);
-        }
         self.report
     }
 
@@ -1083,35 +1045,19 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_folds_every_run_into_histograms() {
+    fn record_into_folds_every_run_into_histograms() {
         let p = ab_or_cd();
         let telemetry = cicero_telemetry::Telemetry::new();
         let mut machine = Machine::new(&p, ArchConfig::old_organization(1));
-        machine.attach_telemetry(telemetry.clone());
         let first = machine.run(b"xxab");
-        machine.run(b"nothing");
+        first.record_into(&telemetry);
+        machine.run(b"nothing").record_into(&telemetry);
         assert_eq!(telemetry.counter("sim.runs"), 2);
         assert_eq!(telemetry.counter("sim.matches"), 1);
         let cycles = telemetry.histogram("sim.cycles").unwrap();
         assert_eq!(cycles.count, 2);
         assert!(cycles.min >= first.cycles.min(1) as f64);
         assert!(telemetry.histogram("sim.icache_hit_rate").unwrap().count == 2);
-        let spans = telemetry.spans();
-        assert_eq!(spans.iter().filter(|s| s.name == "sim.run").count(), 2);
-        let run = spans.iter().find(|s| s.name == "sim.run").unwrap();
-        assert!(run.attrs.iter().any(|(k, _)| k == "cycles"));
-    }
-
-    #[test]
-    fn telemetry_does_not_change_results() {
-        let p = heavy_program();
-        let input = vec![b'x'; 200];
-        for config in all_configs() {
-            let plain = simulate(&p, &input, &config);
-            let telemetry = cicero_telemetry::Telemetry::new();
-            let observed = simulate_with_telemetry(&p, &input, &config, &telemetry);
-            assert_eq!(plain, observed, "{}", config.name());
-        }
     }
 
     #[test]

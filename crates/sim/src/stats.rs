@@ -66,8 +66,8 @@ impl ExecReport {
     /// Fold this run into a telemetry collector: `sim.*` histograms for
     /// the distribution-shaped quantities (cycles, peak threads, i-cache
     /// hit rate, the stall-cycle breakdown) and counters for the monotone
-    /// ones. Called once per [`Machine::run`](crate::Machine::run) when a
-    /// collector is attached, so repeated runs build up distributions.
+    /// ones. Callers fold each finished run once, so repeated runs build
+    /// up distributions.
     pub fn record_into(&self, telemetry: &cicero_telemetry::Telemetry) {
         telemetry.counter_add("sim.runs", 1);
         telemetry.counter_add("sim.instructions", self.instructions);

@@ -117,12 +117,6 @@ impl<'p> StreamMachine<'p> {
         }
     }
 
-    /// Attach a telemetry collector; the concluded run folds its report
-    /// into the collector's `sim.*` series (see [`Machine::attach_telemetry`]).
-    pub fn attach_telemetry(&mut self, telemetry: cicero_telemetry::Telemetry) {
-        self.machine.attach_telemetry(telemetry);
-    }
-
     /// Append one chunk and drive the machine as far as the buffered
     /// bytes allow. After the run concludes, further feeds are no-ops
     /// reporting [`StreamStatus::Complete`].
@@ -405,13 +399,12 @@ mod tests {
         let p = ab_or_cd();
         let telemetry = cicero_telemetry::Telemetry::new();
         let mut stream = StreamMachine::new(&p, ArchConfig::old_organization(1));
-        stream.attach_telemetry(telemetry.clone());
         for chunk in b"xxxxabxx".chunks(3) {
             if stream.feed(chunk) == StreamStatus::Complete {
                 break;
             }
         }
-        stream.finish();
+        stream.finish().record_into(&telemetry);
         assert_eq!(telemetry.counter("sim.runs"), 1);
         assert_eq!(telemetry.counter("sim.matches"), 1);
     }

@@ -4,37 +4,39 @@
 //! breakdowns (Fig. 9), code-size and `D_offset` deltas per
 //! transformation (Figs. 8/10), and cycle / i-cache behaviour of the
 //! parallel-enumeration microarchitecture (Table 5). This crate is the
-//! single metrics substrate every layer reports through — mirroring how
-//! MLIR treats pass instrumentation, timing, and statistics as one
-//! cross-cutting infrastructure rather than ad-hoc per-tool counters.
+//! single metrics substrate every layer reports through. Each layer
+//! returns its own report (the compiler's `CompiledRegex` with its
+//! `PipelineReport`, the simulator's `ExecReport`), and the caller folds
+//! that report into a collector once.
 //!
-//! Three pieces, pure `std`:
+//! Pure `std`:
 //!
-//! * **Spans** ([`Telemetry::span`]): nested wall-clock regions with
-//!   arbitrary key/value annotations. The compiler opens one span per
-//!   pipeline stage and one child span per pass. A collector keeps the
-//!   [`MAX_CLOSED_SPANS`] most recently closed spans, so a long-lived
-//!   one (a server's) stays bounded however many requests it sees.
 //! * **Metrics** ([`Telemetry::counter_add`], [`Telemetry::gauge_set`],
 //!   [`Telemetry::observe`]): a registry of counters, gauges, and
-//!   fixed-bucket histograms. The simulator folds every run's
-//!   [`ExecReport`-shaped counters](https://docs.rs) into it.
+//!   fixed-bucket histograms, plus instantaneous named events
+//!   ([`Telemetry::event`]).
 //! * **Sinks** ([`Telemetry::render_summary`],
-//!   [`Telemetry::render_jsonl`], [`Telemetry::write_jsonl_path`]): a
-//!   human-readable summary and a JSON-lines exporter (hand-rolled
-//!   serializer — no external dependencies) writable to a file or
-//!   stdout.
+//!   [`Telemetry::render_jsonl`], [`Telemetry::render_prometheus`],
+//!   [`Telemetry::write_jsonl_path`]): a human-readable summary, a
+//!   JSON-lines exporter (hand-rolled serializer — no external
+//!   dependencies) writable to a file or stdout, and the Prometheus text
+//!   format.
+//! * **Request traces** ([`TraceContext`], [`FlightRecorder`]): span
+//!   trees that cross threads, one per request, and a bounded store of
+//!   finished ones. This is the crate's only span API.
 //!
-//! A [`Telemetry`] value is a cheap clonable handle (`Arc<Mutex<..>>`
-//! inside), so one collector can be threaded through compiler, simulator,
-//! CLI, and benchmark drivers simultaneously.
+//! A [`Telemetry`] value is a cheap clonable handle, so one collector can
+//! be threaded through runtime, server, CLI, and benchmark drivers
+//! simultaneously. Metrics live in per-thread shards (lock-free on the
+//! hot path) merged on read; only events sit behind a mutex.
 //!
 //! # Metric namespaces
 //!
 //! Series names are dot-separated, with the first segment identifying the
 //! emitting layer:
 //!
-//! * `compile.*` — compiler pass pipeline (spans per stage/pass);
+//! * `compiler.*` — one fold per compilation: compilations, passes run,
+//!   code size and `D_offset` of the latest program;
 //! * `sim.*` — one fold per simulated run: cycles, instructions, icache
 //!   hit rate, stalls, verdicts;
 //! * `runtime.*` — batch serving: batches, inputs, matches, cache
@@ -56,20 +58,13 @@
 //! use cicero_telemetry::Telemetry;
 //!
 //! let telemetry = Telemetry::new();
-//! {
-//!     let span = telemetry.span("compile");
-//!     span.annotate("pattern", "ab|cd");
-//!     {
-//!         let pass = telemetry.span("pass:canonicalize");
-//!         pass.annotate("ops_before", 10u64);
-//!         pass.annotate("ops_after", 8u64);
-//!     } // pass span closes here
-//! }
+//! telemetry.counter_add("compiler.passes_run", 4);
+//! telemetry.gauge_set("compiler.code_size", 10.0);
 //! telemetry.counter_add("sim.runs", 1);
 //! telemetry.observe("sim.cycles", 1234.0);
 //! let jsonl = telemetry.render_jsonl();
-//! assert!(jsonl.lines().count() >= 3);
-//! assert!(jsonl.contains("\"type\":\"span\""));
+//! assert_eq!(jsonl.lines().count(), 4);
+//! assert!(jsonl.contains(r#"{"type":"gauge","name":"compiler.code_size","value":10.0}"#));
 //! ```
 
 pub mod json;
@@ -77,38 +72,23 @@ pub mod metrics;
 pub mod recorder;
 pub(crate) mod shard;
 pub mod sink;
-pub mod span;
 pub mod trace;
 
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 pub use json::{escape_json, JsonObject, Value};
 pub use metrics::{Exemplar, HistogramSnapshot, Metric, MetricsRegistry};
 pub use recorder::{FlightRecorder, FlightRecorderOptions};
-pub use span::{Span, SpanRecord, MAX_CLOSED_SPANS};
-pub use trace::{render_chrome_trace, RequestTrace, TraceContext, TraceSpan, TraceSpanRecord};
+pub use trace::{render_chrome_trace, RecordedSpan, RequestTrace, TraceContext, TraceSpan};
 
-pub(crate) struct Inner {
-    pub(crate) epoch: Instant,
-    /// Retained span records by sequence number (iteration is open order).
-    pub(crate) spans: BTreeMap<u64, SpanRecord>,
-    /// Sequence number of the next span to open.
-    pub(crate) next_span: u64,
-    /// Sequence numbers of currently open spans, innermost last.
-    pub(crate) open: Vec<u64>,
-    /// Sequence numbers of retained closed spans, oldest close first.
-    pub(crate) closed: VecDeque<u64>,
-    /// Instantaneous named records (benchmark rows, one-off facts).
-    pub(crate) events: Vec<(String, Vec<(String, Value)>)>,
-}
+/// An instantaneous named record (a benchmark row, a one-off fact).
+type Event = (String, Vec<(String, Value)>);
 
 /// A clonable handle to one telemetry collector.
 #[derive(Clone)]
 pub struct Telemetry {
-    /// Spans and events: low-rate, mutex-backed.
-    inner: Arc<Mutex<Inner>>,
+    /// Events: low-rate, mutex-backed.
+    events: Arc<Mutex<Vec<Event>>>,
     /// Counters / gauges / histograms: per-thread shards, lock-free on
     /// the hot path, merged on read (see [`mod@shard`]).
     metrics: Arc<shard::ShardedMetrics>,
@@ -122,12 +102,8 @@ impl Default for Telemetry {
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (spans, events) = {
-            let inner = self.lock();
-            (inner.spans.len(), inner.events.len())
-        };
+        let events = self.lock().len();
         f.debug_struct("Telemetry")
-            .field("spans", &spans)
             .field("metrics", &self.merged_metrics().len())
             .field("events", &events)
             .finish()
@@ -135,43 +111,23 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// A fresh, empty collector; span timestamps are relative to this
-    /// call.
+    /// A fresh, empty collector.
     pub fn new() -> Telemetry {
         Telemetry {
-            inner: Arc::new(Mutex::new(Inner {
-                epoch: Instant::now(),
-                spans: BTreeMap::new(),
-                next_span: 0,
-                open: Vec::new(),
-                closed: VecDeque::new(),
-                events: Vec::new(),
-            })),
+            events: Arc::new(Mutex::new(Vec::new())),
             metrics: shard::ShardedMetrics::new(),
         }
     }
 
-    pub(crate) fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Vec<Event>> {
+        self.events.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    // -- spans -------------------------------------------------------------
-
-    /// Open a nested span; it records its duration when dropped (or via
-    /// [`Span::close`]).
-    pub fn span(&self, name: impl Into<String>) -> Span {
-        span::enter(self.clone(), name.into())
-    }
+    // -- events ------------------------------------------------------------
 
     /// Record an instantaneous named event with attributes.
     pub fn event(&self, name: impl Into<String>, attrs: Vec<(String, Value)>) {
-        self.lock().events.push((name.into(), attrs));
-    }
-
-    /// Snapshot of the retained finished spans (the last
-    /// [`MAX_CLOSED_SPANS`] to close), in open order.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.lock().spans.values().filter(|s| s.closed).cloned().collect()
+        self.lock().push((name.into(), attrs));
     }
 
     // -- metrics -----------------------------------------------------------
@@ -234,7 +190,7 @@ impl Telemetry {
 
     // -- sinks -------------------------------------------------------------
 
-    /// Human-readable report: span tree then metrics table.
+    /// Human-readable report: metrics table, then events.
     pub fn render_summary(&self) -> String {
         sink::render_summary(self)
     }
@@ -278,55 +234,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spans_nest_and_annotate() {
-        let t = Telemetry::new();
-        {
-            let outer = t.span("outer");
-            outer.annotate("k", "v");
-            {
-                let inner = t.span("inner");
-                inner.annotate("n", 3u64);
-            }
-        }
-        let spans = t.spans();
-        assert_eq!(spans.len(), 2);
-        let outer = spans.iter().find(|s| s.name == "outer").unwrap();
-        let inner = spans.iter().find(|s| s.name == "inner").unwrap();
-        assert_eq!(outer.depth, 0);
-        assert_eq!(inner.depth, 1);
-        assert!(outer.duration >= inner.duration);
-        assert_eq!(outer.attrs[0].0, "k");
-    }
-
-    #[test]
-    fn closed_span_retention_is_bounded() {
-        let t = Telemetry::new();
-        let outer = t.span("outer");
-        for i in 0..100_000u64 {
-            t.span("request").annotate("i", i);
-        }
-        outer.close();
-        let spans = t.spans();
-        assert_eq!(spans.len(), MAX_CLOSED_SPANS);
-        assert_eq!(t.lock().spans.len(), MAX_CLOSED_SPANS);
-        // The most recent closes survive, the long-lived outer one among
-        // them; the oldest requests are gone.
-        assert_eq!(spans[0].name, "outer");
-        let first = 100_000 - (MAX_CLOSED_SPANS as u64 - 1);
-        assert_eq!(spans[1].attrs[0].1.to_string(), first.to_string());
-        assert_eq!(spans.last().unwrap().attrs[0].1.to_string(), "99999");
-        assert!(spans[1..].iter().all(|s| s.depth == 1));
-    }
-
-    #[test]
-    fn explicit_close_is_idempotent_with_drop() {
-        let t = Telemetry::new();
-        let span = t.span("s");
-        span.close();
-        assert_eq!(t.spans().len(), 1);
-    }
-
-    #[test]
     fn counters_accumulate_and_gauges_overwrite() {
         let t = Telemetry::new();
         t.counter_add("c", 2);
@@ -362,17 +269,12 @@ mod tests {
     #[test]
     fn jsonl_contains_every_record_kind() {
         let t = Telemetry::new();
-        {
-            let s = t.span("compile");
-            s.annotate("pattern", "a|b");
-        }
         t.counter_add("c", 1);
         t.gauge_set("g", 2.0);
         t.observe("h", 3.0);
         t.event("row", vec![("suite".to_owned(), Value::from("PROTOMATA"))]);
         let jsonl = t.render_jsonl();
         for kind in [
-            "\"type\":\"span\"",
             "\"type\":\"counter\"",
             "\"type\":\"gauge\"",
             "\"type\":\"histogram\"",
@@ -387,14 +289,12 @@ mod tests {
     }
 
     #[test]
-    fn summary_mentions_spans_and_metrics() {
+    fn summary_mentions_metrics_and_events() {
         let t = Telemetry::new();
-        {
-            let _s = t.span("stage");
-        }
         t.counter_add("runs", 3);
+        t.event("row", vec![("suite".to_owned(), Value::from("BRILL"))]);
         let summary = t.render_summary();
-        assert!(summary.contains("stage"), "{summary}");
         assert!(summary.contains("runs"), "{summary}");
+        assert!(summary.contains("row  suite=BRILL"), "{summary}");
     }
 }

@@ -1,11 +1,10 @@
 //! Request-scoped tracing: span trees that cross threads.
 //!
-//! The global [`Telemetry::span`](crate::Telemetry::span) stack models
-//! nesting by depth on one logical timeline, which breaks down the
-//! moment a request fans out across pooled workers. A [`TraceContext`]
-//! instead carries an explicit parent/child graph keyed by span ids, so
-//! a `/scan` request reconstructs as one connected tree: admission wait
-//! → compile (per-pass children) → per-worker sim execution → merge →
+//! Nesting by depth on one logical timeline breaks down the moment a
+//! request fans out across pooled workers. A [`TraceContext`] instead
+//! carries an explicit parent/child graph keyed by span ids, so a
+//! `/scan` request reconstructs as one connected tree: admission wait →
+//! compile (per-pass children) → per-worker execution → merge →
 //! response write.
 //!
 //! * [`TraceContext`] — cheap clonable handle, one per request, minted
@@ -44,7 +43,7 @@ fn thread_ordinal() -> u64 {
 
 /// One span in a request trace.
 #[derive(Debug, Clone)]
-pub struct TraceSpanRecord {
+pub struct RecordedSpan {
     /// Span id, unique within the trace (index order = open order).
     pub id: u32,
     /// Parent span id; `None` for the root.
@@ -66,7 +65,7 @@ pub struct TraceSpanRecord {
 struct TraceInner {
     request_id: String,
     epoch: Instant,
-    spans: Mutex<Vec<TraceSpanRecord>>,
+    spans: Mutex<Vec<RecordedSpan>>,
 }
 
 /// A clonable handle to one request's trace. Clones share state, so the
@@ -108,7 +107,7 @@ impl TraceContext {
         &self.inner.request_id
     }
 
-    fn lock_spans(&self) -> MutexGuard<'_, Vec<TraceSpanRecord>> {
+    fn lock_spans(&self) -> MutexGuard<'_, Vec<RecordedSpan>> {
         self.inner.spans.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
@@ -117,7 +116,7 @@ impl TraceContext {
         let id = {
             let mut spans = self.lock_spans();
             let id = u32::try_from(spans.len()).expect("span count fits u32");
-            spans.push(TraceSpanRecord {
+            spans.push(RecordedSpan {
                 id,
                 parent,
                 name,
@@ -146,7 +145,7 @@ impl TraceContext {
     }
 
     /// Record an already-finished span, e.g. per-pass compile timings
-    /// reconstructed from a [`PipelineReport`]-shaped report, or the
+    /// reconstructed from the compiler's `PipelineReport`, or the
     /// admission wait measured before the trace existed. Returns the new
     /// span's id.
     pub fn record_complete(
@@ -159,7 +158,7 @@ impl TraceContext {
     ) -> u32 {
         let mut spans = self.lock_spans();
         let id = u32::try_from(spans.len()).expect("span count fits u32");
-        spans.push(TraceSpanRecord {
+        spans.push(RecordedSpan {
             id,
             parent,
             name: name.into(),
@@ -237,7 +236,7 @@ pub struct RequestTrace {
     /// The request id the trace was minted with.
     pub request_id: String,
     /// All spans, in open order (ids are indices).
-    pub spans: Vec<TraceSpanRecord>,
+    pub spans: Vec<RecordedSpan>,
     /// End offset of the latest-ending span.
     pub total: Duration,
 }
@@ -249,16 +248,16 @@ impl RequestTrace {
     }
 
     /// First span with the given name, if any.
-    pub fn span(&self, name: &str) -> Option<&TraceSpanRecord> {
+    pub fn span(&self, name: &str) -> Option<&RecordedSpan> {
         self.spans.iter().find(|span| span.name == name)
     }
 
     /// All spans whose name starts with `prefix`.
-    pub fn spans_with_prefix(&self, prefix: &str) -> Vec<&TraceSpanRecord> {
+    pub fn spans_with_prefix(&self, prefix: &str) -> Vec<&RecordedSpan> {
         self.spans.iter().filter(|span| span.name.starts_with(prefix)).collect()
     }
 
-    fn span_json(span: &TraceSpanRecord) -> String {
+    fn span_json(span: &RecordedSpan) -> String {
         let mut obj = JsonObject::new()
             .field("id", span.id)
             .field("name", span.name.as_str())
@@ -464,6 +463,18 @@ mod tests {
         assert!(pass.closed);
         assert_eq!(pass.start, Duration::from_micros(5));
         assert_eq!(pass.duration, Duration::from_micros(7));
+    }
+
+    #[test]
+    fn renderings_mark_spans_still_open_at_finish() {
+        let ctx = TraceContext::new("req-4");
+        let _open = ctx.root_span("still-running");
+        let trace = ctx.finish();
+        assert!(!trace.spans[0].closed);
+        let tree = trace.render_tree();
+        assert!(tree.contains("still-running") && tree.contains("(open)"), "{tree}");
+        let json = trace.render_json(false);
+        assert!(json.contains("\"open\":true"), "{json}");
     }
 
     #[test]

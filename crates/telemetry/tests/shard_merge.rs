@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use cicero_telemetry::Telemetry;
+use cicero_telemetry::{Telemetry, TraceContext};
 
 /// One metric operation, tagged with the thread that owns it.
 #[derive(Debug, Clone)]
@@ -117,25 +117,38 @@ fn panicked_worker_shard_still_merges() {
     assert!(summary.contains("test.survivor"), "{summary}");
 }
 
-/// Poisoning the span/event mutex (a panic while a span guard is live)
-/// must not wedge metrics or sinks: every lock recovers from poison.
+/// A panic while a request's trace span is open must not wedge the trace
+/// or the collector beside it: the unwound span still closes, the
+/// context keeps opening and closing spans and finishes, and metrics and
+/// sinks keep working (every lock recovers from poison).
 #[test]
 fn poisoned_collector_stays_usable() {
     let telemetry = Telemetry::new();
+    let ctx = TraceContext::new("req-doomed");
+    let root = ctx.root_span("request");
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _span = telemetry.span("doomed");
+        let _span = root.child("doomed");
+        telemetry.counter_add("test.before_panic", 1);
         panic!("panic while span is open");
     }));
     assert!(result.is_err());
 
-    // The span mutex was poisoned mid-drop; all APIs must still work.
     telemetry.counter_add("test.after_poison", 2);
     {
-        let span = telemetry.span("after");
+        let span = root.child("after");
         span.annotate("ok", true);
     }
+    drop(root);
+    let trace = ctx.finish();
+    assert_eq!(trace.spans.len(), 3);
+    assert!(trace.spans.iter().all(|span| span.closed), "{trace:?}");
+    let after = trace.span("after").expect("span opened after the panic");
+    assert_eq!(after.parent, Some(0));
+    assert_eq!(after.attrs[0].0, "ok");
+
+    assert_eq!(telemetry.counter("test.before_panic"), 1);
     assert_eq!(telemetry.counter("test.after_poison"), 2);
     let summary = telemetry.render_summary();
-    assert!(summary.contains("after"), "{summary}");
+    assert!(summary.contains("test.after_poison"), "{summary}");
     assert!(!telemetry.render_jsonl().is_empty());
 }

@@ -79,13 +79,14 @@
 //!
 //! Observability: `--pass-timing` prints the per-pass timing table, and
 //! `--metrics PATH` (with `--metrics-format summary|jsonl`) exports the
-//! unified telemetry — compiler pass spans plus simulator histograms — to
+//! unified telemetry — compiler metrics plus simulator histograms — to
 //! a file, or to stdout when PATH is `-`.
 
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use cicero::compiler::CompiledRegex;
 use cicero::prelude::*;
 use cicero::sim::ExecReport;
 
@@ -257,7 +258,7 @@ OPTIONS:
     --save            difftest: write each minimized divergence into the corpus
     --no-replay       difftest: skip the corpus replay before fuzzing
     --pass-timing     print the per-pass timing table (time, %, op-count delta)
-    --metrics PATH    export telemetry (pass spans + simulator histograms +
+    --metrics PATH    export telemetry (compiler metrics + simulator histograms +
                       runtime counters) to PATH, or to stdout when PATH is `-`
     --metrics-format  `summary` (human-readable, default) or `jsonl` (one JSON
                       object per line)
@@ -389,29 +390,24 @@ fn resolve_config(
 }
 
 /// Compile with either compiler. The multi-dialect compiler also returns
-/// its per-pass report (and streams spans into `telemetry` when given);
-/// the legacy single-IR compiler has no pass pipeline, so it returns
-/// `None`. `options` is the multi-dialect baseline (usually
-/// [`compiler_base`]); `--old`/`-O0` still take precedence.
+/// its whole result (per-pass report, metrics via `record_into`); the
+/// legacy single-IR compiler has no pass pipeline, so it returns `None`.
+/// `options` is the multi-dialect baseline (usually [`compiler_base`]);
+/// `--old`/`-O0` still take precedence.
 fn compile_one(
     pattern: &str,
     old: bool,
     o0: bool,
     options: CompilerOptions,
-    telemetry: Option<&Telemetry>,
-) -> Result<(Program, Option<cicero::mlir::PipelineReport>), String> {
+) -> Result<(Program, Option<CompiledRegex>), String> {
     if old {
         let program = LegacyCompiler::new(!o0).compile(pattern).map_err(|e| e.to_string())?;
         Ok((program, None))
     } else {
         let options = if o0 { CompilerOptions::unoptimized() } else { options };
-        let mut compiler = Compiler::with_options(options);
-        if let Some(telemetry) = telemetry {
-            compiler = compiler.with_telemetry(telemetry.clone());
-        }
-        let compiled = compiler.compile(pattern).map_err(|e| e.to_string())?;
-        let report = compiled.pass_report().clone();
-        Ok((compiled.into_program(), Some(report)))
+        let compiled =
+            Compiler::with_options(options).compile(pattern).map_err(|e| e.to_string())?;
+        Ok((compiled.program().clone(), Some(compiled)))
     }
 }
 
@@ -473,8 +469,7 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     };
     match emit {
         "asm" | "bin" => {
-            let (program, pass_report) =
-                compile_one(pattern, old, o0, CompilerOptions::optimized(), None)?;
+            let (program, compiled) = compile_one(pattern, old, o0, CompilerOptions::optimized())?;
             if emit == "asm" {
                 output(program.to_asm().as_bytes())?;
             } else {
@@ -482,7 +477,10 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
             }
             if flags.has("pass-timing") {
                 // To stderr: stdout may be carrying the emitted program.
-                eprintln!("{}", pass_timing_text(pass_report.as_ref()));
+                eprintln!(
+                    "{}",
+                    pass_timing_text(compiled.as_ref().map(CompiledRegex::pass_report))
+                );
             }
             Ok(())
         }
@@ -586,9 +584,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     let telemetry = Telemetry::new();
     let base = compiler_base(tuned.as_ref(), flags.has("O0"));
-    let (program, pass_report) =
-        compile_one(pattern, flags.has("old"), flags.has("O0"), base, Some(&telemetry))?;
-    let report = simulate_with_telemetry(&program, &input, &config, &telemetry);
+    let (program, compiled) = compile_one(pattern, flags.has("old"), flags.has("O0"), base)?;
+    let report = simulate(&program, &input, &config);
+    if let Some(compiled) = &compiled {
+        compiled.record_into(&telemetry);
+    }
+    report.record_into(&telemetry);
     println!("pattern    : {pattern}");
     println!("config     : {} @ {} MHz", config.name(), config.clock_mhz());
     println!("verdict    : {}", if report.accepted { "MATCH" } else { "no match" });
@@ -605,7 +606,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     println!("icache      : {:.1}% hits", report.icache_hit_rate() * 100.0);
     if flags.has("pass-timing") {
         println!();
-        println!("{}", pass_timing_text(pass_report.as_ref()));
+        println!("{}", pass_timing_text(compiled.as_ref().map(CompiledRegex::pass_report)));
     }
     write_metrics(&flags, &telemetry)
 }
@@ -622,8 +623,10 @@ fn run_host_mode(
 ) -> Result<(), String> {
     let telemetry = Telemetry::new();
     let base = compiler_base(tuned, flags.has("O0"));
-    let (program, pass_report) =
-        compile_one(pattern, flags.has("old"), flags.has("O0"), base, Some(&telemetry))?;
+    let (program, compiled) = compile_one(pattern, flags.has("old"), flags.has("O0"), base)?;
+    if let Some(compiled) = &compiled {
+        compiled.record_into(&telemetry);
+    }
     let tiers = tuned.map(|t| t.host_tiers()).unwrap_or_default();
     let host = HostProgram::compile_with_tiers(&program, tiers);
     let start = std::time::Instant::now();
@@ -648,7 +651,7 @@ fn run_host_mode(
     );
     if flags.has("pass-timing") {
         println!();
-        println!("{}", pass_timing_text(pass_report.as_ref()));
+        println!("{}", pass_timing_text(compiled.as_ref().map(CompiledRegex::pass_report)));
     }
     write_metrics(flags, &telemetry)
 }
@@ -858,7 +861,6 @@ fn scan_batch_mode(
     backend: Backend,
     tuned: Option<&cicero::tune::TuneFile>,
 ) -> Result<(), String> {
-    use cicero::runtime::MatchOutcome;
     let chunks = chunk_input(input);
     let runtime = local_runtime(jobs, compiler_base(tuned, false), tuned);
     let program = runtime.compile_set(patterns).map_err(|e| e.to_string())?;
@@ -876,36 +878,16 @@ fn scan_batch_mode(
         workloads::CHUNK_BYTES,
         batch.jobs
     );
-    // Per-chunk all-matches accounting: an engine run halts at the first
-    // acceptance, so a chunk matching several set members would otherwise
-    // count only one of them. Re-running accepted chunks through an
-    // all-matches pass recovers every distinct id — the same accounting
-    // the server's `POST /scan` uses.
-    let host = match backend {
-        Backend::Sim => {
-            let cycles: u64 = batch.workers.iter().map(|w| w.cycles).sum();
-            println!("{head}, {cycles} cycles total");
-            None
-        }
-        Backend::Host => {
-            println!("{head} [host backend, {:.3} ms]", batch.wall.as_secs_f64() * 1e3);
-            Some(runtime.host_program(&program))
-        }
-    };
-    let mut per_pattern = vec![0usize; patterns.len()];
-    for (chunk, outcome) in chunks.iter().zip(&batch.outcomes) {
-        if matches!(outcome, MatchOutcome::Complete(report) if report.accepted) {
-            let ids = match &host {
-                Some(host) => host.run_all(chunk).matched_ids,
-                None => cicero::isa::run_all(&program, chunk).matched_ids,
-            };
-            for id in ids {
-                if let Some(count) = per_pattern.get_mut(usize::from(id)) {
-                    *count += 1;
-                }
-            }
-        }
+    if backend == Backend::Sim {
+        let cycles: u64 = batch.workers.iter().map(|w| w.cycles).sum();
+        println!("{head}, {cycles} cycles total");
+    } else {
+        println!("{head} [{backend} backend, {:.3} ms]", batch.wall.as_secs_f64() * 1e3);
     }
+    // Per-chunk all-matches accounting, the same the server's `POST /scan`
+    // uses: an engine run halts at the first acceptance, so a chunk
+    // matching several set members would otherwise count only one.
+    let per_pattern = runtime.pattern_hits_on(backend, &program, &chunks, &batch, patterns.len());
     if batch.matches() == 0 {
         println!("no match");
     } else {

@@ -663,3 +663,64 @@ fn tuned_config_is_rejected_for_remote_ruleset_scans() {
     assert!(!output.status.success());
     assert!(stderr(&output).contains("only applies to local scans"), "{}", stderr(&output));
 }
+
+/// `run --metrics` exports every layer's own report and nothing else:
+/// one JSON object per line, no span records, the `compiler.*` gauges of
+/// the program that ran, and on the simulator exactly one folded run.
+#[test]
+fn run_metrics_export_each_layers_report_as_jsonl() {
+    use cicero::server::json::{self, Json};
+
+    let compiled = cicero::prelude::compile("ab|cd").expect("pattern compiles");
+    for backend in ["sim", "host"] {
+        let path = temp_file(&format!("run-metrics-{backend}.jsonl"));
+        let output = cicero(&[
+            "run",
+            "ab|cd",
+            "--text",
+            "xxabyy",
+            "--backend",
+            backend,
+            "--metrics",
+            path.to_str().unwrap(),
+            "--metrics-format",
+            "jsonl",
+        ]);
+        assert!(output.status.success(), "{backend}: {}", stderr(&output));
+        let metrics = std::fs::read_to_string(&path).expect("metrics file written");
+        let _ = std::fs::remove_file(&path);
+
+        let records: Vec<Json> = metrics
+            .lines()
+            .map(|line| json::parse(line).unwrap_or_else(|e| panic!("{backend}: {e}: {line}")))
+            .collect();
+        assert!(!records.is_empty(), "{backend}: nothing exported");
+        let value = |kind: &str, name: &str| {
+            records.iter().find_map(|record| {
+                let found =
+                    record.get("type")?.as_str()? == kind && record.get("name")?.as_str()? == name;
+                match record.get("value")? {
+                    Json::Num(value) if found => Some(*value),
+                    _ => None,
+                }
+            })
+        };
+        for record in &records {
+            assert!(matches!(record, Json::Obj(_)), "{backend}: {record:?}");
+            assert_ne!(record.get("type").and_then(Json::as_str), Some("span"), "{backend}");
+        }
+        assert_eq!(
+            value("gauge", "compiler.code_size"),
+            Some(compiled.code_size() as f64),
+            "{backend}: {metrics}"
+        );
+        assert_eq!(
+            value("gauge", "compiler.d_offset"),
+            Some(compiled.d_offset() as f64),
+            "{backend}: {metrics}"
+        );
+        if backend == "sim" {
+            assert_eq!(value("counter", "sim.runs"), Some(1.0), "{metrics}");
+        }
+    }
+}
